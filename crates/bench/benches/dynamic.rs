@@ -1,7 +1,6 @@
 //! Wall-clock performance of the online arrival/departure engines.
 //!
-//! Pits the event-driven engine (`DynamicSimulator::run_event`) and the
-//! epoch-persistent incremental engine (`run`) against the
+//! Pits the epoch-persistent incremental engine (`run`) against the
 //! full-residual-rebuild loop (`run_scratch`) on paper-shaped
 //! deployments. The epoch count is kept modest so the bench stays quick;
 //! `figures -- bench` and `figures -- bench_event` record the
@@ -31,12 +30,7 @@ fn bench_dynamic_engines(c: &mut Criterion) {
         let sim = DynamicSimulator::new(config(rate, 40));
         let incremental = sim.run().expect("incremental engine runs");
         let scratch = sim.run_scratch().expect("scratch engine runs");
-        let event = sim.run_event().expect("event engine runs");
         assert_eq!(incremental, scratch, "engines diverged at rate {rate}");
-        assert_eq!(incremental, event, "event engine diverged at rate {rate}");
-        group.bench_with_input(BenchmarkId::new("event", rate as u64), &sim, |b, sim| {
-            b.iter(|| black_box(sim.run_event().unwrap()))
-        });
         group.bench_with_input(
             BenchmarkId::new("incremental", rate as u64),
             &sim,
@@ -46,19 +40,9 @@ fn bench_dynamic_engines(c: &mut Criterion) {
             b.iter(|| black_box(sim.run_scratch().unwrap()))
         });
     }
-    // The event engine's reason to exist: a low-load horizon where most
-    // epochs are idle and the fixed-epoch engines still pay per epoch.
+    // A low-load horizon where most epochs are idle and the engines pay
+    // only for the Poisson draw and the departure scan.
     let sim = DynamicSimulator::new(config(1.0, 2000));
-    assert_eq!(
-        sim.run_event().expect("event engine runs"),
-        sim.run().expect("incremental engine runs"),
-        "event engine diverged at low load"
-    );
-    group.bench_with_input(
-        BenchmarkId::new("event_low_load", 2000u64),
-        &sim,
-        |b, sim| b.iter(|| black_box(sim.run_event().unwrap())),
-    );
     group.bench_with_input(
         BenchmarkId::new("incremental_low_load", 2000u64),
         &sim,

@@ -16,10 +16,10 @@
 //! DMRA solver against its reference, and the incremental online engine
 //! against the scratch rebuild loop, writing `BENCH_sweep.json` and
 //! `BENCH_dynamic.json`, and ends with an instrumented per-phase
-//! breakdown. The `bench_event` job times the event-driven engine
-//! against both fixed-epoch loops on a low-load long-horizon workload,
-//! writes `BENCH_dynamic_event.json`, and fails when the speedup falls
-//! below its gate. The `bench_shard` job exercises the region-sharded
+//! breakdown. The `bench_event` job times the incremental engine against
+//! the scratch loop on a low-load long-horizon workload, writes
+//! `BENCH_dynamic_event.json`, and fails when the speedup falls below
+//! its gate. The `bench_shard` job exercises the region-sharded
 //! runtime: bit-identical outcomes across shard grids at paper scale, a
 //! shard-count scaling curve on the wide-area grid (gated on hosts with
 //! enough hardware threads), and a sustained run past one million
@@ -439,25 +439,25 @@ fn bench_dynamic() {
     obs_info!("wrote BENCH_dynamic.json");
 }
 
-/// Times the event-driven engine against both fixed-epoch engines on a
-/// low-load long-horizon workload and writes `BENCH_dynamic_event.json`.
+/// Times the incremental engine against the scratch loop on a low-load
+/// long-horizon workload and writes `BENCH_dynamic_event.json`.
 ///
-/// All three engines must produce bit-identical `DynamicOutcome`s (the
-/// run aborts on mismatch), and the event engine must beat the epoch
-/// loop by at least the required factor — at rate ≤ 2 most epochs are
-/// idle, so the event engine's O(events) cost should leave the epoch
-/// loop's O(epochs) instance builds far behind. Exit 1 when the gate
-/// fails, so `scripts/bench.sh` doubles as a perf regression check. The
-/// factor defaults to 5 and can be tightened or loosened via
+/// Both engines must produce bit-identical `DynamicOutcome`s (the run
+/// aborts on mismatch), and the incremental engine must beat the scratch
+/// loop by at least the required factor. Exit 1 when the gate fails, so
+/// `scripts/bench.sh` doubles as a perf regression check. The factor
+/// defaults to 5 and can be tightened or loosened via
 /// `DMRA_EVENT_SPEEDUP_MIN`.
 ///
 /// The workload is a wide-area deployment — the paper's grid extended to
 /// 10 × 10 sites at the same 300 m ISD (20 BSs per SP instead of 5).
-/// Both fixed-epoch engines already skip instance builds on idle epochs,
-/// so the gated gap is per-arrival build cost: the scratch loop scans
-/// every site per build while the event engine's pruned build touches
-/// only the handful inside coverage radius, and that ratio needs more
-/// sites than the 25-BS paper grid to sit safely above the 5x bound.
+/// Both engines skip instance builds on idle epochs, so the gated gap is
+/// per-arrival build cost: the scratch loop scans every site per build
+/// while the incremental engine's pruned build touches only the handful
+/// inside coverage radius, and that ratio needs more sites than the
+/// 25-BS paper grid to sit safely above the 5x bound. The job's name and
+/// output file predate the removal of the event-driven engine it once
+/// timed.
 fn bench_event_mode() {
     let min_speedup: f64 = std::env::var("DMRA_EVENT_SPEEDUP_MIN")
         .ok()
@@ -485,47 +485,37 @@ fn bench_event_mode() {
             epochs,
             seed: 11,
         });
-        let (event_out, _) = timed(|| sim.run_event().expect("event engine runs"));
         let (incremental_out, _) = timed(|| sim.run().expect("incremental engine runs"));
         let (scratch_out, _) = timed(|| sim.run_scratch().expect("scratch engine runs"));
         assert_eq!(
-            event_out, incremental_out,
-            "event engine diverged from incremental at rate {arrival_rate}"
+            incremental_out, scratch_out,
+            "incremental engine diverged from scratch at rate {arrival_rate}"
         );
-        assert_eq!(
-            event_out, scratch_out,
-            "event engine diverged from scratch at rate {arrival_rate}"
-        );
-        let event_secs = best_of(3, || sim.run_event().expect("event engine runs"));
         let incremental_secs = best_of(3, || sim.run().expect("incremental engine runs"));
         let scratch_secs = best_of(3, || sim.run_scratch().expect("scratch engine runs"));
-        let speedup_vs_epoch_loop = scratch_secs / event_secs;
-        let speedup_vs_incremental = incremental_secs / event_secs;
+        let speedup_vs_epoch_loop = scratch_secs / incremental_secs;
         let gate_pass = speedup_vs_epoch_loop >= min_speedup;
         all_gates_pass &= gate_pass;
         obs_info!(
-            "dynamic event rate {arrival_rate}, {epochs} epochs ({} arrivals): \
-             event {event_secs:.4} s, incremental {incremental_secs:.4} s, \
-             scratch {scratch_secs:.4} s ({speedup_vs_epoch_loop:.1}x vs epoch \
-             loop, {speedup_vs_incremental:.1}x vs incremental)",
-            event_out.arrivals
+            "dynamic low load rate {arrival_rate}, {epochs} epochs ({} arrivals): \
+             incremental {incremental_secs:.4} s, scratch {scratch_secs:.4} s \
+             ({speedup_vs_epoch_loop:.1}x vs epoch loop)",
+            incremental_out.arrivals
         );
         if !rows.is_empty() {
             rows.push_str(",\n");
         }
         rows.push_str(&format!(
             "    {{ \"arrival_rate\": {arrival_rate}, \"epochs\": {epochs}, \
-             \"arrivals\": {}, \"event_secs\": {event_secs:.4}, \
-             \"incremental_secs\": {incremental_secs:.4}, \
+             \"arrivals\": {}, \"incremental_secs\": {incremental_secs:.4}, \
              \"scratch_secs\": {scratch_secs:.4}, \
              \"speedup_vs_epoch_loop\": {speedup_vs_epoch_loop:.2}, \
-             \"speedup_vs_incremental\": {speedup_vs_incremental:.2}, \
              \"gate_pass\": {gate_pass}, \"identical_outcome\": true }}",
-            event_out.arrivals
+            incremental_out.arrivals
         ));
     }
     let json = format!(
-        "{{\n  \"title\": \"event-driven engine vs fixed-epoch loops, low-load \
+        "{{\n  \"title\": \"incremental engine vs scratch epoch loop, low-load \
          long-horizon regime (DMRA allocator, 10x10-site wide-area grid, \
          geometric holding)\",\n  \"min_speedup_vs_epoch_loop\": {min_speedup},\n  \
          \"runs\": [\n{rows}\n  ]\n}}\n"
@@ -533,7 +523,7 @@ fn bench_event_mode() {
     fs::write("BENCH_dynamic_event.json", &json).expect("can write BENCH_dynamic_event.json");
     obs_info!("wrote BENCH_dynamic_event.json");
     if !all_gates_pass {
-        obs_error!("event engine speedup fell below the {min_speedup}x bound");
+        obs_error!("incremental engine low-load speedup fell below the {min_speedup}x bound");
         std::process::exit(1);
     }
 }

@@ -49,7 +49,7 @@ pub fn help_text() -> String {
      \t               as NAME:X — e.g. 5, exp, det:3  (default geometric:5)\n\
      \t--epochs N     horizon                     (default 50)\n\
      \t--seed S                                   (default 42)\n\
-     \t--engine E     event | incremental | proto | scratch\n\
+     \t--engine E     incremental | proto | scratch\n\
      \t               (default incremental; identical results — proto\n\
      \t               computes each epoch by message-passing agents)\n\
      \t--drop PCT     proto engine: per-message loss percentage (default 0)\n\
@@ -648,21 +648,20 @@ fn cmd_dynamic(parsed: &ParsedArgs) -> Result<String, ArgError> {
     let sharding = shard_spec(parsed)?;
     let faults = proto_fault_spec(parsed, n_bss)?;
     // All engines are bit-identical (proto under its default fault-free
-    // spec); `event` skips idle epochs, `scratch` is the slow executable
-    // specification, exposed for spot-checks and benchmarking, `proto`
+    // spec); `scratch` is the slow executable specification, exposed for
+    // spot-checks and benchmarking, `proto`
     // computes each epoch's matching by message-passing agents (the only
     // engine taking --drop/--delay/--crash), and the sharded variants fan
     // the incremental engine's row builds out to region workers.
     let out = match (parsed.get("engine").unwrap_or("incremental"), sharding) {
         (_, Some(ShardArg::Count(n))) => simulator.run_sharded_n(n),
         (_, Some(ShardArg::Grid(rows, cols))) => simulator.run_sharded(rows, cols),
-        ("event", None) => simulator.run_event(),
         ("incremental", None) => simulator.run(),
         ("proto", None) => simulator.run_proto(&faults),
         ("scratch", None) => simulator.run_scratch(),
         (other, None) => {
             return Err(ArgError(format!(
-                "--engine must be 'event', 'incremental', 'proto' or 'scratch', got '{other}'"
+                "--engine must be 'incremental', 'proto' or 'scratch', got '{other}'"
             )))
         }
     }
@@ -730,9 +729,6 @@ fn cmd_mobility(parsed: &ParsedArgs) -> Result<String, ArgError> {
         "solve",
     ])?;
     let speed = parsed.get_or("speed", 5.0f64)?;
-    if speed < 0.0 {
-        return Err(ArgError("--speed must be non-negative".into()));
-    }
     let mut scenario = scenario_from(parsed)?;
     scenario.n_ues = parsed.get_or("ues", 300usize)?;
     let policy = match parsed.get("policy").unwrap_or("full") {
@@ -915,10 +911,8 @@ mod tests {
         let incremental =
             run(&[&["dynamic", "--engine", "incremental"], &args[..]].concat()).unwrap();
         let scratch = run(&[&["dynamic", "--engine", "scratch"], &args[..]].concat()).unwrap();
-        let event = run(&[&["dynamic", "--engine", "event"], &args[..]].concat()).unwrap();
         let proto = run(&[&["dynamic", "--engine", "proto"], &args[..]].concat()).unwrap();
         assert_eq!(incremental, scratch);
-        assert_eq!(incremental, event);
         assert_eq!(incremental, proto);
     }
 
@@ -954,7 +948,7 @@ mod tests {
         ] {
             let err = run(&[&["dynamic"], flags].concat()).unwrap_err();
             assert!(err.to_string().contains("proto"), "{err}");
-            let err = run(&[&["dynamic", "--engine", "event"], flags].concat()).unwrap_err();
+            let err = run(&[&["dynamic", "--engine", "scratch"], flags].concat()).unwrap_err();
             assert!(err.to_string().contains("proto"), "{err}");
         }
     }
@@ -987,14 +981,12 @@ mod tests {
                 "10",
                 "--holding",
                 holding,
-                "--engine",
-                "event",
             ])
             .unwrap();
             assert!(text.contains("admitted"), "--holding {holding} failed");
         }
         // A bare number is still geometric with that mean: same report.
-        let args = ["--rate", "8", "--epochs", "10", "--engine", "event"];
+        let args = ["--rate", "8", "--epochs", "10"];
         let numeric = run(&[&["dynamic", "--holding", "5"], &args[..]].concat()).unwrap();
         let named = run(&[&["dynamic", "--holding", "geometric:5"], &args[..]].concat()).unwrap();
         assert_eq!(numeric, named);
@@ -1017,6 +1009,9 @@ mod tests {
         assert!(err.to_string().contains("mean_holding"));
         let err = run(&["dynamic", "--holding", "exp:0.2"]).unwrap_err();
         assert!(err.to_string().contains("mean_holding"));
+        // Finite but past the 32-bit UE id range: an error, not a panic.
+        let err = run(&["dynamic", "--rate", "1e300"]).unwrap_err();
+        assert!(err.to_string().contains("arrival_rate"));
     }
 
     #[test]
@@ -1072,7 +1067,7 @@ mod tests {
         let err = run(&["dynamic", "--shards", "4", "--shard-grid", "2x2"]).unwrap_err();
         assert!(err.to_string().contains("mutually exclusive"));
         // Sharding fans out the incremental engine only.
-        for engine in ["event", "scratch"] {
+        for engine in ["proto", "scratch"] {
             let err = run(&["dynamic", "--shards", "4", "--engine", engine]).unwrap_err();
             assert!(err.to_string().contains("incremental"), "engine {engine}");
         }
@@ -1088,9 +1083,18 @@ mod tests {
     }
 
     #[test]
-    fn mobility_rejects_bad_stationary_fraction() {
-        let err = run(&["mobility", "--stationary", "1.5"]).unwrap_err();
-        assert!(err.to_string().contains("stationary"));
+    fn mobility_rejects_invalid_config_values() {
+        // An infinite speed would spin the waypoint walk forever and a NaN
+        // speed would pin every UE: both are configuration errors.
+        for (flag, value, field) in [
+            ("--stationary", "1.5", "stationary"),
+            ("--speed", "inf", "speed_mps"),
+            ("--speed", "nan", "speed_mps"),
+            ("--speed", "-1", "speed_mps"),
+        ] {
+            let err = run(&["mobility", flag, value]).unwrap_err();
+            assert!(err.to_string().contains(field), "{flag} {value}: {err}");
+        }
     }
 
     #[test]

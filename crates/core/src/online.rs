@@ -540,49 +540,6 @@ impl DeploymentContext {
         });
     }
 
-    /// Builds this epoch's instance in place: same deployment, the given
-    /// remaining budgets, and the new arrival batch.
-    ///
-    /// Bit-identical to `deployment.residual(rem_cru, rem_rrb, ues)` —
-    /// same candidate rows, same accepted/rejected inputs, same errors —
-    /// without cloning the deployment or re-validating what cannot have
-    /// changed. After an error the context remains usable: the next
-    /// successful call overwrites all epoch state.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors [`ProblemInstance::residual`] would return:
-    /// budget-arity mismatches, invalid UE batches, and pricing-margin
-    /// violations at a new worst-case candidate distance.
-    pub fn epoch_instance(
-        &mut self,
-        rem_cru: &[Vec<Cru>],
-        rem_rrb: &[RrbCount],
-        ues: Vec<UeSpec>,
-    ) -> Result<&ProblemInstance> {
-        self.rebuild(rem_cru, rem_rrb, ues, None)
-    }
-
-    /// Event-timestamped variant of [`DeploymentContext::epoch_instance`]
-    /// for the event-driven simulator: the instance build is identical
-    /// (same buffers, same candidate rows, same errors), but telemetry is
-    /// recorded under the `online.event_*` names and the trace event
-    /// carries the event time, so an event-engine run can be correlated
-    /// against an epoch-engine run without the two streams colliding.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DeploymentContext::epoch_instance`].
-    pub fn event_instance(
-        &mut self,
-        time: f64,
-        rem_cru: &[Vec<Cru>],
-        rem_rrb: &[RrbCount],
-        ues: Vec<UeSpec>,
-    ) -> Result<&ProblemInstance> {
-        self.rebuild(rem_cru, rem_rrb, ues, Some(time))
-    }
-
     /// Assembles this epoch's instance from candidate rows built
     /// elsewhere: the region-sharded runtime has per-shard contexts build
     /// the rows in parallel, merges them in global UE order, and calls
@@ -694,16 +651,25 @@ impl DeploymentContext {
         Ok(&self.instance)
     }
 
-    /// The shared rebuild behind both public entry points. `event_time`
-    /// only selects which telemetry stream the build is recorded under —
-    /// it must never influence candidate generation, which is what keeps
-    /// the two engines bit-identical.
-    fn rebuild(
+    /// Builds this epoch's instance in place: same deployment, the given
+    /// remaining budgets, and the new arrival batch.
+    ///
+    /// Bit-identical to `deployment.residual(rem_cru, rem_rrb, ues)` —
+    /// same candidate rows, same accepted/rejected inputs, same errors —
+    /// without cloning the deployment or re-validating what cannot have
+    /// changed. After an error the context remains usable: the next
+    /// successful call overwrites all epoch state.
+    ///
+    /// # Errors
+    ///
+    /// Exactly the errors [`ProblemInstance::residual`] would return:
+    /// budget-arity mismatches, invalid UE batches, and pricing-margin
+    /// violations at a new worst-case candidate distance.
+    pub fn epoch_instance(
         &mut self,
         rem_cru: &[Vec<Cru>],
         rem_rrb: &[RrbCount],
         ues: Vec<UeSpec>,
-        event_time: Option<f64>,
     ) -> Result<&ProblemInstance> {
         // Observe-only telemetry: one flag read up front, all recording
         // after the rebuild. Nothing here touches candidate generation.
@@ -1067,8 +1033,6 @@ impl DeploymentContext {
             // is one atomic op per metric (see BENCH_obs_overhead.json).
             static EPOCH_BUILDS: dmra_obs::LazyCounter =
                 dmra_obs::LazyCounter::new("online.epoch_builds");
-            static EVENT_BUILDS: dmra_obs::LazyCounter =
-                dmra_obs::LazyCounter::new("online.event_builds");
             static ROWS_REBUILT: dmra_obs::LazyCounter =
                 dmra_obs::LazyCounter::new("online.rows_rebuilt");
             static PRECULL_KEPT: dmra_obs::LazyCounter =
@@ -1083,8 +1047,6 @@ impl DeploymentContext {
                 dmra_obs::LazyGauge::new("online.validated_distance_m");
             static EPOCH_BUILD_NS: dmra_obs::LazyHistogram =
                 dmra_obs::LazyHistogram::new("online.epoch_build_ns");
-            static EVENT_BUILD_NS: dmra_obs::LazyHistogram =
-                dmra_obs::LazyHistogram::new("online.event_build_ns");
             static BATCH_KERNEL_NS: dmra_obs::LazyHistogram =
                 dmra_obs::LazyHistogram::new("online.batch_kernel_ns");
             static ROW_CACHE_HITS: dmra_obs::LazyCounter =
@@ -1096,15 +1058,7 @@ impl DeploymentContext {
             static ROW_CACHE_EVICTIONS: dmra_obs::LazyCounter =
                 dmra_obs::LazyCounter::new("online.row_cache_evictions");
             let inst = &self.instance;
-            // The event path mirrors the epoch path under its own build
-            // counter/histogram/trace names; the per-row counters below
-            // are shared, so aggregate prune statistics stay comparable
-            // across engines.
-            let builds = if event_time.is_some() {
-                EVENT_BUILDS.get()
-            } else {
-                EPOCH_BUILDS.get()
-            };
+            let builds = EPOCH_BUILDS.get();
             builds.inc();
             ROWS_REBUILT.get().add(inst.ues.len() as u64);
             PRECULL_KEPT.get().add(precull_kept);
@@ -1120,11 +1074,7 @@ impl DeploymentContext {
             let build_ns = build_started.map_or(0, |t| {
                 u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
             });
-            if event_time.is_some() {
-                EVENT_BUILD_NS.get().record(build_ns);
-            } else {
-                EPOCH_BUILD_NS.get().record(build_ns);
-            }
+            EPOCH_BUILD_NS.get().record(build_ns);
             // The row scan/batch-kernel phase of the build, cache hits
             // included (a hit is the phase doing its job in O(row)).
             BATCH_KERNEL_NS.get().record(kernel_ns);
@@ -1151,15 +1101,8 @@ impl DeploymentContext {
                 fields.push(("cache_invalidated_bss", invalidated_bss as f64));
                 fields.push(("cache_evictions", evicted as f64));
             }
-            if let Some(t) = event_time {
-                fields.insert(0, ("time", t));
-            }
             dmra_obs::global_trace().record(dmra_obs::TraceEvent {
-                name: if event_time.is_some() {
-                    "online.event_build"
-                } else {
-                    "online.epoch_build"
-                },
+                name: "online.epoch_build",
                 index: builds.get(),
                 fields,
             });
@@ -1243,30 +1186,6 @@ mod tests {
                 .unwrap();
             let fast = ctx.epoch_instance(rem_cru, rem_rrb, batch).unwrap();
             assert_same_instance(fast, &scratch);
-        }
-    }
-
-    #[test]
-    fn event_instance_builds_the_same_instance_as_epoch_instance() {
-        let deployment = two_sp_instance();
-        let mut epoch_ctx = DeploymentContext::new(&deployment);
-        let mut event_ctx = DeploymentContext::new(&deployment);
-        let rem_cru: Vec<Vec<Cru>> = deployment
-            .bss()
-            .iter()
-            .map(|b| b.cru_budget.clone())
-            .collect();
-        let rem_rrb: Vec<RrbCount> = deployment.bss().iter().map(|b| b.rrb_budget).collect();
-        for e in 0..3usize {
-            let batch = fresh_batch(e + 1);
-            let scratch = epoch_ctx
-                .epoch_instance(&rem_cru, &rem_rrb, batch.clone())
-                .unwrap()
-                .clone();
-            let event = event_ctx
-                .event_instance(e as f64, &rem_cru, &rem_rrb, batch)
-                .unwrap();
-            assert_same_instance(event, &scratch);
         }
     }
 

@@ -330,6 +330,9 @@ mod tests {
 
     #[test]
     fn metrics_server_serves_valid_exposition() {
+        let _serial = crate::GLOBAL_REGISTRY_TEST_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         global().counter("test.expose.served").add(7);
         let server = MetricsServer::bind("127.0.0.1:0").expect("bind");
         let addr = server.local_addr();

@@ -102,6 +102,9 @@ mod tests {
 
     #[test]
     fn lazy_handle_survives_reset() {
+        let _serial = crate::GLOBAL_REGISTRY_TEST_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         static H: LazyHistogram = LazyHistogram::new("handles.test.hist");
         H.get().record(5);
         global().reset();

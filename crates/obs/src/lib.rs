@@ -104,6 +104,12 @@ pub fn time(hist: &std::sync::Arc<Histogram>) -> SpanTimer {
     }
 }
 
+/// Serializes the unit tests that reset the process-wide registry against
+/// those that read exact values back from it: tests run on parallel
+/// threads and share [`global`].
+#[cfg(test)]
+pub(crate) static GLOBAL_REGISTRY_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;

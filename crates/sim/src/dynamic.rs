@@ -19,28 +19,25 @@
 //! is built whose BS budgets are the remaining capacities, so all static
 //! invariants (constraint validation, non-wastefulness) apply verbatim.
 //!
-//! Three engines produce **bit-identical** outcomes (the `incremental`
-//! and `event_engine` integration tests pin this for every allocator,
-//! holding distribution, seed and thread count):
+//! Every engine is the **same epoch loop** (release departures, draw the
+//! arrival batch, build its instance, match, commit) with two seams —
+//! where the rows come from and who matches — and all produce
+//! **bit-identical** outcomes (the `incremental`, `sharding` and
+//! `recorder` integration tests pin this for every allocator, holding
+//! distribution, seed and thread count):
 //!
-//! * [`DynamicSimulator::run_event`] — the **event-driven engine**. A
-//!   binary min-heap keyed on departure time replaces the per-epoch scan
-//!   over all tasks in service, RRB occupancy is maintained as a running
-//!   counter instead of being re-summed across BSs every epoch, and an
-//!   epoch without arrivals costs one Poisson draw plus an `O(1)` heap
-//!   peek — so low-load long-horizon runs cost `O(events)` matcher/build
-//!   work instead of `O(epochs)` (see `BENCH_dynamic_event.json`).
-//! * [`DynamicSimulator::run`] — the incremental fixed-epoch engine. A
-//!   [`DeploymentContext`] validates the deployment once, keeps the
-//!   spatial prune index and link evaluator across epochs, and rebuilds
-//!   the epoch instance in place; the allocator runs through a reusable
-//!   [`dmra_core::AllocatorSession`] so per-epoch solves stop allocating.
-//! * [`DynamicSimulator::run_scratch`] — the original
-//!   rebuild-from-scratch loop (full [`ProblemInstance::residual`] with
-//!   an exhaustive candidate scan each epoch), kept as the executable
+//! * [`DynamicSimulator::run`] — the incremental engine: one
+//!   [`DeploymentContext`] rebuilds the epoch instance in place and the
+//!   allocator solves through a reusable [`AllocatorSession`];
+//!   [`DynamicSimulator::run_sharded`] fans its row builds out to
+//!   region-shard workers, and [`DynamicSimulator::run_proto`] matches
+//!   by the message-passing protocol, optionally under faults.
+//! * [`DynamicSimulator::run_scratch`] — the rebuild-from-scratch oracle
+//!   (an exhaustive [`ProblemInstance::residual`] build and a stateless
+//!   [`Allocator::allocate`] each epoch), kept as the executable
 //!   specification and the benchmark baseline.
 //!
-//! All three consume the **same RNG stream** (per epoch: one Poisson
+//! All engines consume the **same RNG stream** (per epoch: one Poisson
 //! draw, then — only if the batch is non-empty — the arrival workloads
 //! followed by one pre-drawn holding sample per arrival), so a seed fixes
 //! the workload trace regardless of engine, allocator or telemetry.
@@ -59,7 +56,7 @@
 //!     epochs: 30,
 //!     seed: 7,
 //! };
-//! let outcome = DynamicSimulator::new(config).run_event()?;
+//! let outcome = DynamicSimulator::new(config).run()?;
 //! assert_eq!(
 //!     outcome.arrivals,
 //!     outcome.admitted + outcome.cloud_forwarded
@@ -68,25 +65,23 @@
 //! ```
 
 use crate::config::ScenarioConfig;
-use crate::shard::{self, EpochBudgets, ShardGrid, ShardJob};
+use crate::shard::{EpochBudgets, ShardGrid, ShardedRows};
 use dmra_core::agents::{run_protocol, ProtocolOptions};
 use dmra_core::{
-    solve_mode_default, Allocation, Allocator, CandidateLink, CandidateScan, DeploymentContext,
+    solve_mode_default, Allocation, Allocator, AllocatorSession, CandidateScan, DeploymentContext,
     Dmra, DmraConfig, ProblemInstance, SolveMode, Threads,
 };
 use dmra_geo::rng::component_rng;
 use dmra_obs::{obs_warn, EpochObserver, EpochRecord};
-use dmra_par::WorkerPool;
 use dmra_proto::{DelayModel, DropPolicy};
 use dmra_types::{
     BitsPerSec, BsId, BsSpec, Cru, Error, Money, Result, RrbCount, ServiceId, SpId, UeId, UeSpec,
 };
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// How long an admitted task holds its resources.
 ///
@@ -96,10 +91,9 @@ use std::sync::Arc;
 /// or past the departure time, so every task occupies its BS for at least
 /// one full epoch.
 ///
-/// RNG-stream discipline (DESIGN.md §11): `Geometric` consumes the same
-/// uniform draws as the pre-event-engine simulator (one per survived
-/// epoch), `Exponential` consumes exactly one uniform per task, and
-/// `Deterministic` consumes none — so within one distribution the
+/// RNG-stream discipline: `Geometric` consumes one uniform draw per
+/// survived epoch, `Exponential` consumes exactly one uniform per task,
+/// and `Deterministic` consumes none — so within one distribution the
 /// workload trace depends only on the seed, never on the allocator or
 /// the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -179,8 +173,8 @@ pub struct DynamicConfig {
     /// The static deployment (SPs, BSs, radio, pricing) and the workload
     /// *distributions* (demand ranges); its `n_ues` field is ignored.
     pub scenario: ScenarioConfig,
-    /// Mean number of task arrivals per epoch (Poisson). Must be finite
-    /// and non-negative.
+    /// Mean number of task arrivals per epoch (Poisson). Must be finite,
+    /// non-negative and at most `u32::MAX` (UE ids are 32-bit).
     pub arrival_rate: f64,
     /// Mean task duration in epochs. Must be finite and ≥ 1 — the same
     /// contract [`crate::erlang::TrunkModel::predicted_blocking`] clamps
@@ -207,13 +201,14 @@ impl DynamicConfig {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] naming the offending field when
-    /// `arrival_rate` is negative or non-finite, or `mean_holding` is
-    /// below one epoch or non-finite.
+    /// `arrival_rate` is negative, non-finite or above `u32::MAX`, or
+    /// `mean_holding` is below one epoch or non-finite.
     pub fn validate(&self) -> Result<()> {
-        if !self.arrival_rate.is_finite() || self.arrival_rate < 0.0 {
+        if !(0.0..=f64::from(u32::MAX)).contains(&self.arrival_rate) {
             return Err(Error::InvalidConfig(format!(
-                "arrival_rate ({}) must be finite and non-negative",
-                self.arrival_rate
+                "arrival_rate ({:?}) must be finite, non-negative and at most {}",
+                self.arrival_rate,
+                u32::MAX
             )));
         }
         if !self.mean_holding.is_finite() || self.mean_holding < 1.0 {
@@ -444,7 +439,7 @@ impl DynamicOutcome {
     }
 }
 
-/// A task currently holding resources (fixed-epoch engines).
+/// A task currently holding resources.
 #[derive(Debug, Clone, Copy)]
 struct ActiveTask {
     bs: BsId,
@@ -512,8 +507,7 @@ impl DynamicSimulator {
     /// epoch patches remaining budgets in place and evaluates only the new
     /// arrival batch (spatially pruned), and the allocator solves through
     /// a reusable session. Bit-identical to
-    /// [`DynamicSimulator::run_scratch`] and
-    /// [`DynamicSimulator::run_event`].
+    /// [`DynamicSimulator::run_scratch`].
     ///
     /// # Errors
     ///
@@ -521,110 +515,12 @@ impl DynamicSimulator {
     /// and propagates scenario/instance build errors (e.g. invalid
     /// pricing).
     pub fn run(&self) -> Result<DynamicOutcome> {
-        let cfg = &self.config;
-        cfg.validate()?;
-        // The static deployment: build once with zero UEs to get validated
-        // SPs/BSs, then treat its BS budgets as the capacity baseline.
-        let deployment = cfg
-            .scenario
-            .clone()
-            .with_ues(0)
-            .with_seed(cfg.seed)
-            .build()?;
-        let mut ctx = delta_aware_ctx(&deployment);
-        let mut session = self.allocator.session();
-        let mut rng = component_rng(cfg.seed, "dynamic-arrivals");
-        let mut state = EngineState::new(deployment.bss(), cfg.epochs);
-        // Observe-only telemetry: the flag is read once per run and every
-        // recording happens after the epoch's bookkeeping is committed, so
-        // the engine stays bit-identical to `run_scratch`.
-        let obs_on = dmra_obs::enabled();
-        let observer = self.observer.clone().or_else(dmra_obs::epoch_observer);
-        let aux_counters = observer.as_ref().map(|_| AuxCounters::fetch());
-
-        for epoch in 0..cfg.epochs {
-            let epoch_started = obs_on.then(std::time::Instant::now);
-            let admitted_before = state.outcome.admitted;
-            let cloud_before = state.outcome.cloud_forwarded;
-            let completed_before = state.outcome.completed;
-            let aux_before = aux_counters.as_ref().map_or((0, 0, 0), AuxCounters::read);
-            state.release_departures(epoch);
-            let n_new = poisson(cfg.arrival_rate, &mut rng);
-            state.outcome.arrivals += n_new as u64;
-            let mut solve_ns = 0u64;
-            let mut digest = 0u64;
-            if n_new > 0 {
-                let ues = self.draw_arrivals(n_new, &mut rng);
-                // Draw holding times for *every* arrival up front so the
-                // workload trace is identical across allocators (admission
-                // decisions must not perturb the RNG stream).
-                let offsets: Vec<f64> = (0..n_new)
-                    .map(|_| cfg.holding.sample(cfg.mean_holding, &mut rng))
-                    .collect();
-                let instance = ctx.epoch_instance(&state.rem_cru, &state.rem_rrb, ues)?;
-                let solve_started = obs_on.then(std::time::Instant::now);
-                let allocation = session.allocate(instance);
-                solve_ns = record_solve_phase(obs_on, solve_started);
-                debug_assert!(allocation.validate(instance).is_ok());
-                if observer.is_some() {
-                    digest = allocation.digest();
-                }
-                state.commit_epoch(instance, &allocation, &offsets, epoch);
-            }
-            state.finish_epoch();
-            let epoch_ns = epoch_started.map_or(0, |t| {
-                u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
-            });
-            if obs_on {
-                // Cached handles: one atomic op per metric per epoch.
-                static EPOCHS: dmra_obs::LazyCounter = dmra_obs::LazyCounter::new("sim.epochs");
-                static ARRIVALS: dmra_obs::LazyCounter = dmra_obs::LazyCounter::new("sim.arrivals");
-                static EPOCH_NS: dmra_obs::LazyHistogram =
-                    dmra_obs::LazyHistogram::new("sim.epoch_ns");
-                EPOCHS.get().inc();
-                ARRIVALS.get().add(n_new as u64);
-                EPOCH_NS.get().record(epoch_ns);
-                dmra_obs::global_trace().record(dmra_obs::TraceEvent {
-                    name: "sim.epoch",
-                    index: epoch as u64,
-                    fields: vec![
-                        ("arrivals", n_new as f64),
-                        (
-                            "admitted",
-                            (state.outcome.admitted - admitted_before) as f64,
-                        ),
-                        (
-                            "in_service",
-                            state.outcome.in_service.last().copied().unwrap_or(0) as f64,
-                        ),
-                        (
-                            "occupancy",
-                            state.outcome.rrb_occupancy.last().copied().unwrap_or(0.0),
-                        ),
-                        ("wall_ns", epoch_ns as f64),
-                    ],
-                });
-            }
-            if let Some(obs) = &observer {
-                let record = push_common_aux(
-                    finished_epoch_record(
-                        epoch,
-                        n_new,
-                        &state.outcome,
-                        admitted_before,
-                        cloud_before,
-                        completed_before,
-                        digest,
-                    ),
-                    epoch_ns,
-                    solve_ns,
-                    aux_counters.as_ref().expect("fetched alongside observer"),
-                    aux_before,
-                );
-                obs.on_record(&record);
-            }
-        }
-        Ok(state.outcome)
+        let deployment = self.deployment()?;
+        self.drive(
+            &deployment,
+            Rows::Context(delta_aware_ctx(&deployment)),
+            Matcher::Session(self.allocator.session()),
+        )
     }
 
     /// Runs the simulation with the **protocol-backed engine**: each
@@ -632,10 +528,8 @@ impl DynamicSimulator {
     /// DMRA protocol* ([`dmra_core::agents::run_protocol`]) — one
     /// `UeAgent` per arrival and one `BsAgent` per BS exchanging service
     /// requests, accepts and resource broadcasts on the synchronous-round
-    /// engine — instead of the in-memory matcher. The epoch instance is
-    /// the same residual build as [`DynamicSimulator::run`]
-    /// ([`DeploymentContext::epoch_instance`] against remaining budgets),
-    /// and the RNG stream is identical, so under
+    /// engine — instead of the in-memory matcher. The epoch instances and
+    /// the RNG stream are those of [`DynamicSimulator::run`], so under
     /// [`ProtoFaults::default`] (reliable immediate delivery, no
     /// crashes) the outcome — and every per-epoch record digest — is
     /// bit-identical to the incremental engine (`tests/recorder.rs` pins
@@ -660,140 +554,34 @@ impl DynamicSimulator {
     /// [`Error::NonTermination`] if an epoch's protocol run exhausts its
     /// round bound.
     pub fn run_proto(&self, faults: &ProtoFaults) -> Result<DynamicOutcome> {
-        let cfg = &self.config;
-        cfg.validate()?;
-        let deployment = cfg
-            .scenario
-            .clone()
-            .with_ues(0)
-            .with_seed(cfg.seed)
-            .build()?;
+        let deployment = self.deployment()?;
         faults.validate(deployment.bss().len())?;
-        let mut ctx = delta_aware_ctx(&deployment);
-        let proto_config = DmraConfig::paper_defaults();
-        // The oracle session only runs when an observer wants the
-        // degradation gap; it never touches the RNG or the engine state.
-        let mut oracle = self.allocator.session();
-        let mut rng = component_rng(cfg.seed, "dynamic-arrivals");
-        let mut state = EngineState::new(deployment.bss(), cfg.epochs);
-        let obs_on = dmra_obs::enabled();
-        let observer = self.observer.clone().or_else(dmra_obs::epoch_observer);
-        let aux_counters = observer.as_ref().map(|_| AuxCounters::fetch());
-
-        for epoch in 0..cfg.epochs {
-            let epoch_started = obs_on.then(std::time::Instant::now);
-            let admitted_before = state.outcome.admitted;
-            let cloud_before = state.outcome.cloud_forwarded;
-            let completed_before = state.outcome.completed;
-            let aux_before = aux_counters.as_ref().map_or((0, 0, 0), AuxCounters::read);
-            state.release_departures(epoch);
-            let n_new = poisson(cfg.arrival_rate, &mut rng);
-            state.outcome.arrivals += n_new as u64;
-            let mut solve_ns = 0u64;
-            let mut digest = 0u64;
-            let mut degradation = ProtoEpochAux::default();
-            if n_new > 0 {
-                let ues = self.draw_arrivals(n_new, &mut rng);
-                let offsets: Vec<f64> = (0..n_new)
-                    .map(|_| cfg.holding.sample(cfg.mean_holding, &mut rng))
-                    .collect();
-                let instance = ctx.epoch_instance(&state.rem_cru, &state.rem_rrb, ues)?;
-                let options = faults.epoch_options(cfg.seed, epoch);
-                let solve_started = obs_on.then(std::time::Instant::now);
-                let outcome = run_protocol(instance, &proto_config, options)?;
-                solve_ns = record_solve_phase(obs_on, solve_started);
-                let allocation = outcome.allocation;
-                debug_assert!(allocation.validate(instance).is_ok());
-                if observer.is_some() {
-                    digest = allocation.digest();
-                    let oracle_alloc = oracle.allocate(instance);
-                    degradation = ProtoEpochAux {
-                        rounds: outcome.stats.rounds as u64,
-                        messages: outcome.stats.messages_sent,
-                        dropped: outcome.stats.messages_dropped,
-                        absorbed: outcome.stats.absorbed_by_crash,
-                        conflicts: outcome.conflicting_accepts,
-                        oracle_profit_gap: instance.total_profit(&oracle_alloc).get()
-                            - instance.total_profit(&allocation).get(),
-                        oracle_unserved_gap: oracle_alloc.edge_served() as f64
-                            - allocation.edge_served() as f64,
-                    };
-                }
-                state.commit_epoch(instance, &allocation, &offsets, epoch);
-            }
-            state.finish_epoch();
-            let epoch_ns = epoch_started.map_or(0, |t| {
-                u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
-            });
-            if obs_on {
-                // Same stream names as the other engines, so traces line
-                // up epoch for epoch.
-                static EPOCHS: dmra_obs::LazyCounter = dmra_obs::LazyCounter::new("sim.epochs");
-                static ARRIVALS: dmra_obs::LazyCounter = dmra_obs::LazyCounter::new("sim.arrivals");
-                static EPOCH_NS: dmra_obs::LazyHistogram =
-                    dmra_obs::LazyHistogram::new("sim.epoch_ns");
-                EPOCHS.get().inc();
-                ARRIVALS.get().add(n_new as u64);
-                EPOCH_NS.get().record(epoch_ns);
-                dmra_obs::global_trace().record(dmra_obs::TraceEvent {
-                    name: "sim.epoch",
-                    index: epoch as u64,
-                    fields: vec![
-                        ("arrivals", n_new as f64),
-                        (
-                            "admitted",
-                            (state.outcome.admitted - admitted_before) as f64,
-                        ),
-                        (
-                            "in_service",
-                            state.outcome.in_service.last().copied().unwrap_or(0) as f64,
-                        ),
-                        (
-                            "occupancy",
-                            state.outcome.rrb_occupancy.last().copied().unwrap_or(0.0),
-                        ),
-                        ("wall_ns", epoch_ns as f64),
-                    ],
-                });
-            }
-            if let Some(obs) = &observer {
-                let record = degradation.push(push_common_aux(
-                    finished_epoch_record(
-                        epoch,
-                        n_new,
-                        &state.outcome,
-                        admitted_before,
-                        cloud_before,
-                        completed_before,
-                        digest,
-                    ),
-                    epoch_ns,
-                    solve_ns,
-                    aux_counters.as_ref().expect("fetched alongside observer"),
-                    aux_before,
-                ));
-                obs.on_record(&record);
-            }
-        }
-        Ok(state.outcome)
+        self.drive(
+            &deployment,
+            Rows::Context(delta_aware_ctx(&deployment)),
+            Matcher::Proto {
+                faults,
+                run_seed: self.config.seed,
+                config: DmraConfig::paper_defaults(),
+                // The oracle only runs when an observer wants the
+                // degradation gap; it never touches the RNG or the state.
+                oracle: self.allocator.session(),
+                aux: ProtoEpochAux::default(),
+            },
+        )
     }
 
     /// Runs the simulation with the **region-sharded engine**: the site
     /// grid is partitioned into `rows × cols` rectangular shards
-    /// ([`ShardGrid`]), each owning a long-lived worker thread
-    /// ([`dmra_par::WorkerPool`]) with its own [`DeploymentContext`]
-    /// whose prune index is narrowed to the shard's sites plus a
-    /// coverage-radius halo. Each epoch the coordinator draws the
-    /// arrival batch (same RNG stream as [`DynamicSimulator::run`] —
-    /// a seed fixes the workload trace across engines), routes UEs to
-    /// shards by position, fans the row builds out to the workers,
-    /// merges the rows back into global order and assembles the epoch
-    /// instance with `epoch_instance_prebuilt`; the allocator then
-    /// solves the merged instance **once** — coverage discs chain the
-    /// candidate graph across shard seams and BS budgets couple
-    /// admissions globally, so per-shard solves could not match. The
-    /// outcome is bit-identical to the unsharded engines for every
-    /// shard count (`tests/sharding.rs` pins it).
+    /// ([`ShardGrid`]), each owning a long-lived worker with its own
+    /// [`DeploymentContext`] narrowed to the shard's sites plus a
+    /// coverage-radius halo. Each epoch the arrival batch is routed to
+    /// shards by position, the workers build its rows, and the merged
+    /// instance is solved **once** — coverage discs chain the candidate
+    /// graph across shard seams and BS budgets couple admissions
+    /// globally, so per-shard solves could not match. Bit-identical to
+    /// the unsharded engines for every shard count (`tests/sharding.rs`
+    /// pins it).
     ///
     /// # Errors
     ///
@@ -817,309 +605,22 @@ impl DynamicSimulator {
     }
 
     fn run_sharded_grid(&self, grid: &ShardGrid) -> Result<DynamicOutcome> {
-        let cfg = &self.config;
-        cfg.validate()?;
-        shard::reject_interference(&cfg.scenario.radio)?;
-        let deployment = cfg
-            .scenario
-            .clone()
-            .with_ues(0)
-            .with_seed(cfg.seed)
-            .build()?;
-        // Long-lived shard workers: each slot keeps its filtered context
-        // (buffers, prune index, link evaluator) across epochs. No row
-        // cache — arrival batches are fresh UEs every epoch, matching
-        // the unsharded incremental engine.
-        let (slots, registries) = shard::build_slots(&deployment, grid, false);
-        let pool = WorkerPool::new(slots);
-        let obs_on = dmra_obs::enabled();
-        let observer = self.observer.clone().or_else(dmra_obs::epoch_observer);
-        let aux_counters = observer.as_ref().map(|_| AuxCounters::fetch());
-        // While the run is in flight the per-shard registries are only
-        // merged into the global one at the end; registering them as
-        // live scrape sources lets a concurrent `/metrics` scrape see
-        // shard-local counters mid-run.
-        let scrape_guard = obs_on.then(|| dmra_obs::register_scrape_sources(&registries));
-        let worker = shard::row_build_worker(obs_on);
-        // The coordinator context assembles the merged instance and
-        // performs the global validation (budgets, UEs, pricing margin).
-        let mut asm = DeploymentContext::new(&deployment);
-        let mut session = self.allocator.session();
-        let mut rng = component_rng(cfg.seed, "dynamic-arrivals");
-        let mut state = EngineState::new(deployment.bss(), cfg.epochs);
-        let mut merged_links: Vec<CandidateLink> = Vec::new();
-        let mut merged_starts: Vec<usize> = Vec::new();
-
-        for epoch in 0..cfg.epochs {
-            let epoch_started = obs_on.then(std::time::Instant::now);
-            let admitted_before = state.outcome.admitted;
-            let cloud_before = state.outcome.cloud_forwarded;
-            let completed_before = state.outcome.completed;
-            let aux_before = aux_counters.as_ref().map_or((0, 0, 0), AuxCounters::read);
-            state.release_departures(epoch);
-            let n_new = poisson(cfg.arrival_rate, &mut rng);
-            state.outcome.arrivals += n_new as u64;
-            let mut solve_ns = 0u64;
-            let mut digest = 0u64;
-            let mut shard_load: Option<Vec<u64>> = None;
-            if n_new > 0 {
-                let ues = self.draw_arrivals(n_new, &mut rng);
-                let offsets: Vec<f64> = (0..n_new)
-                    .map(|_| cfg.holding.sample(cfg.mean_holding, &mut rng))
-                    .collect();
-                let (owners, batches) = shard::route(grid, &ues);
-                if observer.is_some() {
-                    shard_load = Some(batches.iter().map(|b| b.len() as u64).collect());
-                }
-                // Budgets move into a shared read-only snapshot for the
-                // barrier, then back — no copy on the happy path.
-                let budgets = Arc::new(EpochBudgets {
-                    cru: std::mem::take(&mut state.rem_cru),
-                    rrb: std::mem::take(&mut state.rem_rrb),
-                });
-                let jobs: Vec<ShardJob> = batches
-                    .into_iter()
-                    .map(|batch| (Arc::clone(&budgets), batch))
-                    .collect();
-                let built = pool.run(jobs, worker.clone());
-                match Arc::try_unwrap(budgets) {
-                    Ok(b) => {
-                        state.rem_cru = b.cru;
-                        state.rem_rrb = b.rrb;
-                    }
-                    Err(shared) => {
-                        state.rem_cru = shared.cru.clone();
-                        state.rem_rrb = shared.rrb.clone();
-                    }
-                }
-                let rows = built.into_iter().collect::<Result<Vec<_>>>()?;
-                shard::merge_rows(&owners, &rows, &mut merged_links, &mut merged_starts);
-                let instance = asm.epoch_instance_prebuilt(
-                    &state.rem_cru,
-                    &state.rem_rrb,
-                    ues,
-                    &merged_links,
-                    &merged_starts,
-                )?;
-                let solve_started = obs_on.then(std::time::Instant::now);
-                let allocation = session.allocate(instance);
-                solve_ns = record_solve_phase(obs_on, solve_started);
-                debug_assert!(allocation.validate(instance).is_ok());
-                if observer.is_some() {
-                    digest = allocation.digest();
-                }
-                state.commit_epoch(instance, &allocation, &offsets, epoch);
-            }
-            state.finish_epoch();
-            let epoch_ns = epoch_started.map_or(0, |t| {
-                u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
-            });
-            if obs_on {
-                // Same stream names as the incremental engine, so traces
-                // from sharded and unsharded runs line up epoch for epoch.
-                static EPOCHS: dmra_obs::LazyCounter = dmra_obs::LazyCounter::new("sim.epochs");
-                static ARRIVALS: dmra_obs::LazyCounter = dmra_obs::LazyCounter::new("sim.arrivals");
-                static EPOCH_NS: dmra_obs::LazyHistogram =
-                    dmra_obs::LazyHistogram::new("sim.epoch_ns");
-                EPOCHS.get().inc();
-                ARRIVALS.get().add(n_new as u64);
-                EPOCH_NS.get().record(epoch_ns);
-                dmra_obs::global_trace().record(dmra_obs::TraceEvent {
-                    name: "sim.epoch",
-                    index: epoch as u64,
-                    fields: vec![
-                        ("arrivals", n_new as f64),
-                        (
-                            "admitted",
-                            (state.outcome.admitted - admitted_before) as f64,
-                        ),
-                        (
-                            "in_service",
-                            state.outcome.in_service.last().copied().unwrap_or(0) as f64,
-                        ),
-                        (
-                            "occupancy",
-                            state.outcome.rrb_occupancy.last().copied().unwrap_or(0.0),
-                        ),
-                        ("wall_ns", epoch_ns as f64),
-                    ],
-                });
-            }
-            if let Some(obs) = &observer {
-                let mut record = push_common_aux(
-                    finished_epoch_record(
-                        epoch,
-                        n_new,
-                        &state.outcome,
-                        admitted_before,
-                        cloud_before,
-                        completed_before,
-                        digest,
-                    ),
-                    epoch_ns,
-                    solve_ns,
-                    aux_counters.as_ref().expect("fetched alongside observer"),
-                    aux_before,
-                );
-                record = record.aux("shard_load", shard_load.unwrap_or_default());
-                obs.on_record(&record);
-            }
-        }
-        // Unregister the live scrape sources *before* folding the shard
-        // registries into the global one, so no scrape double-counts.
-        drop(scrape_guard);
-        if obs_on {
-            shard::merge_registries(&registries);
-        }
-        Ok(state.outcome)
-    }
-
-    /// Runs the simulation with the **event-driven engine**: departures
-    /// live in a binary min-heap keyed on departure time, RRB occupancy
-    /// is a running counter, and an epoch with no arrivals and no due
-    /// departures costs one Poisson draw plus a heap peek — no task scan,
-    /// no per-BS re-summation, no instance build. Bit-identical to
-    /// [`DynamicSimulator::run`] for every [`HoldingDistribution`]
-    /// (`tests/event_engine.rs` pins the full allocator × seed × rate
-    /// grid with telemetry on and off).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DynamicSimulator::run`].
-    pub fn run_event(&self) -> Result<DynamicOutcome> {
-        let cfg = &self.config;
-        cfg.validate()?;
-        let deployment = cfg
-            .scenario
-            .clone()
-            .with_ues(0)
-            .with_seed(cfg.seed)
-            .build()?;
-        let mut ctx = delta_aware_ctx(&deployment);
-        let mut session = self.allocator.session();
-        let mut rng = component_rng(cfg.seed, "dynamic-arrivals");
-        let mut state = EventState::new(deployment.bss(), cfg.epochs);
-        let obs_on = dmra_obs::enabled();
-        let observer = self.observer.clone().or_else(dmra_obs::epoch_observer);
-        let aux_counters = observer.as_ref().map(|_| AuxCounters::fetch());
-
-        for epoch in 0..cfg.epochs {
-            let now = epoch as f64;
-            let admitted_before = state.outcome.admitted;
-            let cloud_before = state.outcome.cloud_forwarded;
-            let completed_before = state.outcome.completed;
-            let aux_before = aux_counters.as_ref().map_or((0, 0, 0), AuxCounters::read);
-            state.release_due(now);
-            let n_new = poisson(cfg.arrival_rate, &mut rng);
-            state.outcome.arrivals += n_new as u64;
-            if n_new == 0 {
-                // Idle epoch: no arrival event, every due departure is
-                // already drained, so occupancy and the in-service count
-                // are the cached values — this path is O(1).
-                state.record_epoch();
-                if obs_on {
-                    static IDLE: dmra_obs::LazyCounter =
-                        dmra_obs::LazyCounter::new("sim.idle_epochs");
-                    IDLE.get().inc();
-                }
-                if let Some(obs) = &observer {
-                    // One record per *epoch*, idle or not, so the event
-                    // engine's record stream lines up byte for byte with
-                    // the fixed-epoch engines'.
-                    let record = push_common_aux(
-                        finished_epoch_record(
-                            epoch,
-                            0,
-                            &state.outcome,
-                            admitted_before,
-                            cloud_before,
-                            completed_before,
-                            0,
-                        ),
-                        0,
-                        0,
-                        aux_counters.as_ref().expect("fetched alongside observer"),
-                        aux_before,
-                    );
-                    obs.on_record(&record);
-                }
-                continue;
-            }
-            let event_started = obs_on.then(std::time::Instant::now);
-            let ues = self.draw_arrivals(n_new, &mut rng);
-            let offsets: Vec<f64> = (0..n_new)
-                .map(|_| cfg.holding.sample(cfg.mean_holding, &mut rng))
-                .collect();
-            let instance = ctx.event_instance(now, &state.rem_cru, &state.rem_rrb, ues)?;
-            let solve_started = obs_on.then(std::time::Instant::now);
-            let allocation = session.allocate(instance);
-            let solve_ns = record_solve_phase(obs_on, solve_started);
-            debug_assert!(allocation.validate(instance).is_ok());
-            let digest = if observer.is_some() {
-                allocation.digest()
-            } else {
-                0
-            };
-            state.commit_event(instance, &allocation, &offsets, now);
-            state.record_epoch();
-            let event_ns = event_started.map_or(0, |t| {
-                u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
-            });
-            if let Some(obs) = &observer {
-                let record = push_common_aux(
-                    finished_epoch_record(
-                        epoch,
-                        n_new,
-                        &state.outcome,
-                        admitted_before,
-                        cloud_before,
-                        completed_before,
-                        digest,
-                    ),
-                    event_ns,
-                    solve_ns,
-                    aux_counters.as_ref().expect("fetched alongside observer"),
-                    aux_before,
-                );
-                obs.on_record(&record);
-            }
-            if obs_on {
-                // Event-loop telemetry mirroring the epoch engine's
-                // `sim.epochs`/`sim.arrivals`/`sim.epoch_ns`/`sim.epoch`
-                // set, recorded only when an arrival event fires.
-                static EVENTS: dmra_obs::LazyCounter = dmra_obs::LazyCounter::new("sim.events");
-                static EVENT_ARRIVALS: dmra_obs::LazyCounter =
-                    dmra_obs::LazyCounter::new("sim.event_arrivals");
-                static EVENT_NS: dmra_obs::LazyHistogram =
-                    dmra_obs::LazyHistogram::new("sim.event_ns");
-                EVENTS.get().inc();
-                EVENT_ARRIVALS.get().add(n_new as u64);
-                EVENT_NS.get().record(event_ns);
-                dmra_obs::global_trace().record(dmra_obs::TraceEvent {
-                    name: "sim.event",
-                    index: epoch as u64,
-                    fields: vec![
-                        ("time", now),
-                        ("arrivals", n_new as f64),
-                        (
-                            "admitted",
-                            (state.outcome.admitted - admitted_before) as f64,
-                        ),
-                        ("in_service", state.heap.len() as f64),
-                        ("occupancy", state.occupancy),
-                        ("wall_ns", event_ns as f64),
-                    ],
-                });
-            }
-        }
-        Ok(state.outcome)
+        let deployment = self.deployment()?;
+        // No row cache: arrival batches are fresh UEs every epoch.
+        let sharded = ShardedRows::new(&deployment, grid, false)?;
+        self.drive(
+            &deployment,
+            Rows::Sharded(sharded),
+            Matcher::Session(self.allocator.session()),
+        )
     }
 
     /// Runs the simulation with the original **rebuild-from-scratch
     /// engine**: every epoch clones the deployment into a full
     /// [`ProblemInstance::residual`] build with an exhaustive candidate
-    /// scan. Kept as the executable specification the incremental and
-    /// event engines are tested bit-identical against, and as the
+    /// scan, matched by the allocator's stateless
+    /// [`Allocator::allocate`]. Kept as the executable specification the
+    /// other engines are tested bit-identical against, and as the
     /// benchmark baseline (`BENCH_dynamic.json`,
     /// `BENCH_dynamic_event.json`).
     ///
@@ -1138,22 +639,44 @@ impl DynamicSimulator {
     ///
     /// Same as [`DynamicSimulator::run`].
     pub fn run_scratch_with_threads(&self, threads: Threads) -> Result<DynamicOutcome> {
+        let deployment = self.deployment()?;
+        self.drive(
+            &deployment,
+            Rows::scratch(&deployment, threads),
+            Matcher::Stateless(self.allocator.as_ref()),
+        )
+    }
+
+    /// Validates the configuration and builds the static deployment: zero
+    /// UEs, validated SPs/BSs whose budgets are the capacity baseline.
+    fn deployment(&self) -> Result<ProblemInstance> {
         let cfg = &self.config;
         cfg.validate()?;
-        let deployment = cfg
-            .scenario
-            .clone()
-            .with_ues(0)
-            .with_seed(cfg.seed)
-            .build()?;
+        cfg.scenario.clone().with_ues(0).with_seed(cfg.seed).build()
+    }
+
+    /// The one epoch loop behind every engine: release due departures,
+    /// draw the arrival batch, build its rows through `rows`, match it
+    /// through `matcher`, commit, then emit the epoch's telemetry and
+    /// flight record.
+    fn drive(
+        &self,
+        deployment: &ProblemInstance,
+        mut rows: Rows<'_>,
+        mut matcher: Matcher<'_>,
+    ) -> Result<DynamicOutcome> {
+        let cfg = &self.config;
         let mut rng = component_rng(cfg.seed, "dynamic-arrivals");
         let mut state = EngineState::new(deployment.bss(), cfg.epochs);
+        // Observe-only telemetry: the flag is read once per run and every
+        // recording happens after the epoch's bookkeeping is committed, so
+        // every engine stays bit-identical with or without it.
         let obs_on = dmra_obs::enabled();
         let observer = self.observer.clone().or_else(dmra_obs::epoch_observer);
         let aux_counters = observer.as_ref().map(|_| AuxCounters::fetch());
 
         for epoch in 0..cfg.epochs {
-            let epoch_started = obs_on.then(std::time::Instant::now);
+            let epoch_started = obs_on.then(Instant::now);
             let admitted_before = state.outcome.admitted;
             let cloud_before = state.outcome.cloud_forwarded;
             let completed_before = state.outcome.completed;
@@ -1165,48 +688,67 @@ impl DynamicSimulator {
             let mut digest = 0u64;
             if n_new > 0 {
                 let ues = self.draw_arrivals(n_new, &mut rng);
+                // Draw holding times for *every* arrival up front so the
+                // workload trace is identical across allocators (admission
+                // decisions must not perturb the RNG stream).
                 let offsets: Vec<f64> = (0..n_new)
                     .map(|_| cfg.holding.sample(cfg.mean_holding, &mut rng))
                     .collect();
-                let instance = deployment.residual_with(
-                    &state.rem_cru,
-                    &state.rem_rrb,
-                    ues,
-                    threads,
-                    CandidateScan::Exhaustive,
-                )?;
-                let solve_started = obs_on.then(std::time::Instant::now);
-                let allocation = self.allocator.allocate(&instance);
+                let instance = rows.epoch_instance(&mut state.rem_cru, &mut state.rem_rrb, ues)?;
+                let solve_started = obs_on.then(Instant::now);
+                let allocation = matcher.allocate(instance, epoch)?;
                 solve_ns = record_solve_phase(obs_on, solve_started);
-                debug_assert!(allocation.validate(&instance).is_ok());
+                debug_assert!(allocation.validate(instance).is_ok());
                 if observer.is_some() {
                     digest = allocation.digest();
+                    matcher.observe(instance, &allocation);
                 }
-                state.commit_epoch(&instance, &allocation, &offsets, epoch);
+                state.commit_epoch(instance, &allocation, &offsets, epoch);
             }
             state.finish_epoch();
-            if let Some(obs) = &observer {
-                let epoch_ns = epoch_started.map_or(0, |t| {
-                    u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
+            let epoch_ns = elapsed_ns(epoch_started);
+            let admitted = state.outcome.admitted - admitted_before;
+            let in_service = state.outcome.in_service.last().copied().unwrap_or(0);
+            let occupancy = state.outcome.rrb_occupancy.last().copied().unwrap_or(0.0);
+            if obs_on {
+                // Cached handles: one atomic op per metric per epoch.
+                static EPOCHS: dmra_obs::LazyCounter = dmra_obs::LazyCounter::new("sim.epochs");
+                static ARRIVALS: dmra_obs::LazyCounter = dmra_obs::LazyCounter::new("sim.arrivals");
+                static EPOCH_NS: dmra_obs::LazyHistogram =
+                    dmra_obs::LazyHistogram::new("sim.epoch_ns");
+                EPOCHS.get().inc();
+                ARRIVALS.get().add(n_new as u64);
+                EPOCH_NS.get().record(epoch_ns);
+                dmra_obs::global_trace().record(dmra_obs::TraceEvent {
+                    name: "sim.epoch",
+                    index: epoch as u64,
+                    fields: vec![
+                        ("arrivals", n_new as f64),
+                        ("admitted", admitted as f64),
+                        ("in_service", in_service as f64),
+                        ("occupancy", occupancy),
+                        ("wall_ns", epoch_ns as f64),
+                    ],
                 });
-                let record = push_common_aux(
-                    finished_epoch_record(
-                        epoch,
-                        n_new,
-                        &state.outcome,
-                        admitted_before,
-                        cloud_before,
-                        completed_before,
-                        digest,
-                    ),
-                    epoch_ns,
-                    solve_ns,
-                    aux_counters.as_ref().expect("fetched alongside observer"),
-                    aux_before,
-                );
-                obs.on_record(&record);
+            }
+            if let (Some(obs), Some(counters)) = (&observer, &aux_counters) {
+                // The engine-independent det section: field order and
+                // content are byte-identical across engines, which is
+                // exactly what `tests/recorder.rs` pins. `digest` is 0 for
+                // an epoch with no arrivals.
+                let record = EpochRecord::new("sim.epoch", epoch as u64)
+                    .det("arrivals", n_new)
+                    .det("admitted", admitted)
+                    .det("cloud", state.outcome.cloud_forwarded - cloud_before)
+                    .det("departed", state.outcome.completed - completed_before)
+                    .det("in_service", in_service)
+                    .det("occupancy", occupancy)
+                    .det("digest", digest);
+                let record = push_common_aux(record, epoch_ns, solve_ns, counters, aux_before);
+                obs.on_record(&matcher.push_aux(rows.push_aux(record)));
             }
         }
+        rows.finish();
         Ok(state.outcome)
     }
 
@@ -1235,11 +777,8 @@ impl DynamicSimulator {
     }
 }
 
-/// The per-run mutable state shared by the two fixed-epoch engines:
-/// remaining budgets, tasks in service, and the outcome accumulators.
-/// Keeping the epoch bookkeeping in one place guarantees the engines
-/// account identically — their only difference is how the epoch instance
-/// is produced.
+/// The per-run mutable state of the epoch loop: remaining budgets, tasks
+/// in service, and the outcome accumulators.
 struct EngineState {
     rem_cru: Vec<Vec<Cru>>,
     rem_rrb: Vec<RrbCount>,
@@ -1255,7 +794,15 @@ impl EngineState {
             rem_rrb: bss.iter().map(|b| b.rrb_budget).collect(),
             total_rrb: bss.iter().map(|b| b.rrb_budget.as_f64()).sum(),
             active: Vec::new(),
-            outcome: empty_outcome(epochs),
+            outcome: DynamicOutcome {
+                arrivals: 0,
+                admitted: 0,
+                cloud_forwarded: 0,
+                completed: 0,
+                total_profit: Money::new(0.0),
+                rrb_occupancy: Vec::with_capacity(epochs),
+                in_service: Vec::with_capacity(epochs),
+            },
         }
     }
 
@@ -1316,162 +863,157 @@ impl EngineState {
     }
 }
 
-fn empty_outcome(epochs: usize) -> DynamicOutcome {
-    DynamicOutcome {
-        arrivals: 0,
-        admitted: 0,
-        cloud_forwarded: 0,
-        completed: 0,
-        total_profit: Money::new(0.0),
-        rrb_occupancy: Vec::with_capacity(epochs),
-        in_service: Vec::with_capacity(epochs),
-    }
+/// The row-source seam of both simulators' epoch loops: where an epoch's
+/// instance — a UE batch's candidate rows against the given budgets —
+/// comes from. One value lives per run, so variant sizes do not matter.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum Rows<'a> {
+    /// One epoch-persistent context, rebuilding the instance in place.
+    Context(DeploymentContext),
+    /// Region-shard workers build the rows, a coordinator merges them.
+    Sharded(ShardedRows<'a>),
+    /// A full exhaustive build off `deployment` per epoch — the oracle.
+    Scratch {
+        deployment: &'a ProblemInstance,
+        threads: Threads,
+        built: Option<ProblemInstance>,
+    },
 }
 
-/// A scheduled departure in the event engine's heap.
-#[derive(Debug, Clone, Copy)]
-struct Departure {
-    /// Departure time in epochs (fractional under exponential holding).
-    time: f64,
-    bs: BsId,
-    service: ServiceId,
-    cru: Cru,
-    rrbs: RrbCount,
-}
-
-// The heap orders departures by time only. Ties release in arbitrary
-// order, which is sound: releases are commutative additions into the
-// remaining-budget arrays, so the drained state never depends on it.
-impl PartialEq for Departure {
-    fn eq(&self, other: &Self) -> bool {
-        self.time.total_cmp(&other.time) == Ordering::Equal
-    }
-}
-
-impl Eq for Departure {}
-
-impl PartialOrd for Departure {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Departure {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest
-        // departure on top.
-        other.time.total_cmp(&self.time)
-    }
-}
-
-/// Mutable state of the event-driven engine: the departure heap plus the
-/// running occupancy counter that replaces the per-epoch re-summation.
-struct EventState {
-    rem_cru: Vec<Vec<Cru>>,
-    rem_rrb: Vec<RrbCount>,
-    total_rrb: f64,
-    /// RRBs currently held across all BSs, updated at admissions and
-    /// departures only. `used as f64 / total_rrb` is bit-identical to the
-    /// epoch engines' `total − Σ remaining` because every quantity is an
-    /// exact small integer in `f64`.
-    used_rrb: u64,
-    /// Cached `used_rrb / total_rrb`, refreshed only when `used_rrb`
-    /// changes — idle epochs re-push this value untouched.
-    occupancy: f64,
-    heap: BinaryHeap<Departure>,
-    outcome: DynamicOutcome,
-}
-
-impl EventState {
-    fn new(bss: &[BsSpec], epochs: usize) -> Self {
-        Self {
-            rem_cru: bss.iter().map(|b| b.cru_budget.clone()).collect(),
-            rem_rrb: bss.iter().map(|b| b.rrb_budget).collect(),
-            total_rrb: bss.iter().map(|b| b.rrb_budget.as_f64()).sum(),
-            used_rrb: 0,
-            occupancy: 0.0,
-            heap: BinaryHeap::new(),
-            outcome: empty_outcome(epochs),
+impl<'a> Rows<'a> {
+    pub(crate) fn scratch(deployment: &'a ProblemInstance, threads: Threads) -> Self {
+        Rows::Scratch {
+            deployment,
+            threads,
+            built: None,
         }
     }
 
-    /// Pops every departure due at or before `now` and releases its
-    /// resources. Heap invariant: the top is always the earliest pending
-    /// departure, so the drain stops at the first one still in service.
-    fn release_due(&mut self, now: f64) {
-        let mut changed = false;
-        while let Some(top) = self.heap.peek() {
-            if top.time > now {
-                break;
-            }
-            let d = self.heap.pop().expect("peeked");
-            self.rem_cru[d.bs.as_usize()][d.service.as_usize()] += d.cru;
-            self.rem_rrb[d.bs.as_usize()] += d.rrbs;
-            self.used_rrb -= u64::from(u32::from(d.rrbs));
-            self.outcome.completed += 1;
-            changed = true;
-        }
-        if changed {
-            self.refresh_occupancy();
-        }
-    }
-
-    /// Commits one arrival event's admissions: deduct resources, schedule
-    /// the departures, accumulate profit/admission counters.
-    fn commit_event(
+    pub(crate) fn epoch_instance(
         &mut self,
-        instance: &ProblemInstance,
-        allocation: &Allocation,
-        offsets: &[f64],
-        now: f64,
-    ) {
-        self.outcome.total_profit += instance.total_profit(allocation);
-        let mut changed = false;
-        for (ue, bs) in allocation.edge_pairs() {
-            let spec = &instance.ues()[ue.as_usize()];
-            let link = instance.link(ue, bs).expect("candidate");
-            self.rem_cru[bs.as_usize()][spec.service.as_usize()] -= spec.cru_demand;
-            self.rem_rrb[bs.as_usize()] -= link.n_rrbs;
-            self.used_rrb += u64::from(u32::from(link.n_rrbs));
-            self.heap.push(Departure {
-                time: now + offsets[ue.as_usize()],
-                bs,
-                service: spec.service,
-                cru: spec.cru_demand,
-                rrbs: link.n_rrbs,
-            });
-            self.outcome.admitted += 1;
-            changed = true;
-        }
-        self.outcome.cloud_forwarded += allocation.cloud_ues().count() as u64;
-        if changed {
-            self.refresh_occupancy();
+        rem_cru: &mut Vec<Vec<Cru>>,
+        rem_rrb: &mut Vec<RrbCount>,
+        ues: Vec<UeSpec>,
+    ) -> Result<&ProblemInstance> {
+        match self {
+            Rows::Context(ctx) => ctx.epoch_instance(rem_cru, rem_rrb, ues),
+            Rows::Sharded(sharded) => {
+                // Budgets move into a shared read-only snapshot for the
+                // worker barrier, then back — no copy on the happy path.
+                let budgets = Arc::new(EpochBudgets {
+                    cru: std::mem::take(rem_cru),
+                    rrb: std::mem::take(rem_rrb),
+                });
+                let built = sharded.build(&budgets, ues);
+                let budgets = Arc::unwrap_or_clone(budgets);
+                *rem_cru = budgets.cru;
+                *rem_rrb = budgets.rrb;
+                built
+            }
+            Rows::Scratch {
+                deployment,
+                threads,
+                built,
+            } => Ok(built.insert(deployment.residual_with(
+                rem_cru,
+                rem_rrb,
+                ues,
+                *threads,
+                CandidateScan::Exhaustive,
+            )?)),
         }
     }
 
-    fn refresh_occupancy(&mut self) {
-        self.occupancy = if self.total_rrb > 0.0 {
-            self.used_rrb as f64 / self.total_rrb
-        } else {
-            0.0
-        };
+    /// Appends the row source's aux fields to the epoch's flight record.
+    pub(crate) fn push_aux(&mut self, record: EpochRecord) -> EpochRecord {
+        match self {
+            Rows::Sharded(sharded) => sharded.push_aux(record),
+            _ => record,
+        }
     }
 
-    /// Records the end-of-epoch samples from the cached values — O(1),
-    /// no scan over BSs or tasks.
-    fn record_epoch(&mut self) {
-        self.outcome.rrb_occupancy.push(self.occupancy);
-        self.outcome.in_service.push(self.heap.len());
+    pub(crate) fn finish(self) {
+        if let Rows::Sharded(sharded) = self {
+            sharded.finish();
+        }
     }
 }
 
-/// The single-context engines' epoch context. Under the delta solve mode
+/// The matcher seam of the epoch loop: who turns an epoch instance into
+/// an allocation.
+enum Matcher<'a> {
+    /// The allocator's reusable session.
+    Session(Box<dyn AllocatorSession + 'a>),
+    /// The allocator's stateless [`Allocator::allocate`] — the scratch
+    /// oracle's matcher.
+    Stateless(&'a dyn Allocator),
+    /// The message-passing protocol under `faults`, with the allocator's
+    /// session as the telemetry oracle.
+    Proto {
+        faults: &'a ProtoFaults,
+        run_seed: u64,
+        config: DmraConfig,
+        oracle: Box<dyn AllocatorSession + 'a>,
+        aux: ProtoEpochAux,
+    },
+}
+
+impl Matcher<'_> {
+    fn allocate(&mut self, instance: &ProblemInstance, epoch: usize) -> Result<Allocation> {
+        match self {
+            Matcher::Session(session) => Ok(session.allocate(instance)),
+            Matcher::Stateless(allocator) => Ok(allocator.allocate(instance)),
+            Matcher::Proto {
+                faults,
+                run_seed,
+                config,
+                aux,
+                ..
+            } => {
+                let outcome =
+                    run_protocol(instance, config, faults.epoch_options(*run_seed, epoch))?;
+                *aux = ProtoEpochAux {
+                    rounds: outcome.stats.rounds as u64,
+                    messages: outcome.stats.messages_sent,
+                    dropped: outcome.stats.messages_dropped,
+                    absorbed: outcome.stats.absorbed_by_crash,
+                    conflicts: outcome.conflicting_accepts,
+                    ..ProtoEpochAux::default()
+                };
+                Ok(outcome.allocation)
+            }
+        }
+    }
+
+    /// Observer-only work after a solve: the protocol's gap against the
+    /// oracle matcher on the same instance.
+    fn observe(&mut self, instance: &ProblemInstance, allocation: &Allocation) {
+        if let Matcher::Proto { oracle, aux, .. } = self {
+            let oracle_alloc = oracle.allocate(instance);
+            aux.oracle_profit_gap = instance.total_profit(&oracle_alloc).get()
+                - instance.total_profit(allocation).get();
+            aux.oracle_unserved_gap =
+                oracle_alloc.edge_served() as f64 - allocation.edge_served() as f64;
+        }
+    }
+
+    /// Appends the matcher's aux fields to the epoch's flight record
+    /// (all-zero protocol fields for an epoch with no arrivals).
+    fn push_aux(&mut self, record: EpochRecord) -> EpochRecord {
+        match self {
+            Matcher::Proto { aux, .. } => std::mem::take(aux).push(record),
+            _ => record,
+        }
+    }
+}
+
+/// The unsharded engines' epoch context. Under the delta solve mode
 /// the cross-epoch row cache is enabled so every epoch instance carries
 /// the [`dmra_core::DeltaInfo`] churn metadata the delta solver replays
 /// against; otherwise the plain context is returned. The cache never
 /// changes a candidate row (the incremental tests pin bit-identity), so
 /// outcomes are the same either way — only the solve path differs.
-pub(crate) fn delta_aware_ctx(deployment: &ProblemInstance) -> DeploymentContext {
+fn delta_aware_ctx(deployment: &ProblemInstance) -> DeploymentContext {
     let ctx = DeploymentContext::new(deployment);
     if solve_mode_default() == SolveMode::Delta {
         ctx.with_row_cache()
@@ -1486,16 +1028,21 @@ pub(crate) fn delta_aware_ctx(deployment: &ProblemInstance) -> DeploymentContext
 /// departure bookkeeping), which `sim.epoch_ns` lumps together. Observe
 /// only: called after the allocation exists, records nothing when
 /// telemetry is off.
-pub(crate) fn record_solve_phase(obs_on: bool, solve_started: Option<std::time::Instant>) -> u64 {
+pub(crate) fn record_solve_phase(obs_on: bool, solve_started: Option<Instant>) -> u64 {
     if !obs_on {
         return 0;
     }
     static SOLVE_NS: dmra_obs::LazyHistogram = dmra_obs::LazyHistogram::new("sim.solve_ns");
-    let solve_ns = solve_started.map_or(0, |t| {
-        u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    });
+    let solve_ns = elapsed_ns(solve_started);
     SOLVE_NS.get().record(solve_ns);
     solve_ns
+}
+
+/// Nanoseconds since `started` (0 when the timer was not armed).
+pub(crate) fn elapsed_ns(started: Option<Instant>) -> u64 {
+    started.map_or(0, |t| {
+        u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    })
 }
 
 /// Handles to the global counters surfaced as per-epoch deltas in a
@@ -1551,7 +1098,7 @@ impl ProtoEpochAux {
     }
 }
 
-/// Appends the standard aux fields shared by the dynamic engines:
+/// Appends the standard aux fields shared by both simulators:
 /// wall/solve timing plus per-epoch row-cache and component-count
 /// deltas against the `before` reading.
 pub(crate) fn push_common_aux(
@@ -1568,58 +1115,6 @@ pub(crate) fn push_common_aux(
         .aux("row_cache_hits", hits - before.0)
         .aux("row_cache_misses", misses - before.1)
         .aux("components", components - before.2)
-}
-
-/// Builds the engine-independent `det` section of a `"sim.epoch"`
-/// flight record. Every dynamic engine goes through this one helper so
-/// field order and content are byte-identical across engines — which
-/// is exactly what `tests/recorder.rs` pins. `digest` is the epoch
-/// allocation's [`Allocation::digest`] (0 for an epoch with no
-/// arrivals, uniformly across engines).
-#[allow(clippy::too_many_arguments)]
-fn epoch_det_record(
-    epoch: usize,
-    arrivals: usize,
-    admitted: u64,
-    cloud: u64,
-    departed: u64,
-    in_service: usize,
-    occupancy: f64,
-    digest: u64,
-) -> EpochRecord {
-    EpochRecord::new("sim.epoch", epoch as u64)
-        .det("arrivals", arrivals)
-        .det("admitted", admitted)
-        .det("cloud", cloud)
-        .det("departed", departed)
-        .det("in_service", in_service)
-        .det("occupancy", occupancy)
-        .det("digest", digest)
-}
-
-/// The det record for the epoch just finished, reading the end-of-epoch
-/// occupancy / in-service samples off the outcome vectors (identical
-/// accounting in every engine).
-#[allow(clippy::too_many_arguments)]
-fn finished_epoch_record(
-    epoch: usize,
-    arrivals: usize,
-    outcome: &DynamicOutcome,
-    admitted_before: u64,
-    cloud_before: u64,
-    completed_before: u64,
-    digest: u64,
-) -> EpochRecord {
-    epoch_det_record(
-        epoch,
-        arrivals,
-        outcome.admitted - admitted_before,
-        outcome.cloud_forwarded - cloud_before,
-        outcome.completed - completed_before,
-        outcome.in_service.last().copied().unwrap_or(0),
-        outcome.rrb_occupancy.last().copied().unwrap_or(0.0),
-        digest,
-    )
 }
 
 /// λ above which [`poisson`] switches from exact inversion to the normal
@@ -1973,50 +1468,22 @@ mod tests {
     }
 
     #[test]
-    fn event_engine_agrees_with_both_epoch_engines() {
-        // The workspace-root `event_engine` tests sweep the full grid;
-        // this is the in-crate smoke version.
-        let sim = DynamicSimulator::new(base_config(25.0, 2));
-        let event = sim.run_event().unwrap();
-        assert_eq!(event, sim.run().unwrap());
-        assert_eq!(event, sim.run_scratch().unwrap());
-    }
-
-    #[test]
-    fn event_engine_matches_for_every_holding_distribution() {
-        for dist in [
-            HoldingDistribution::Geometric,
-            HoldingDistribution::Deterministic,
-            HoldingDistribution::Exponential,
-        ] {
-            let mut cfg = base_config(30.0, 17);
-            cfg.holding = dist;
-            let sim = DynamicSimulator::new(cfg);
-            assert_eq!(
-                sim.run_event().unwrap(),
-                sim.run().unwrap(),
-                "{dist} holding diverged between event and incremental engines"
-            );
-        }
-    }
-
-    #[test]
-    fn event_engine_zero_rate_never_builds_an_instance() {
-        let mut cfg = base_config(0.0, 5);
-        cfg.epochs = 1000;
-        let out = DynamicSimulator::new(cfg).run_event().unwrap();
-        assert_eq!(out.arrivals, 0);
-        assert_eq!(out.rrb_occupancy.len(), 1000);
-        assert!(out.rrb_occupancy.iter().all(|&o| o == 0.0));
-    }
-
-    #[test]
     fn invalid_configs_are_rejected_by_every_engine() {
-        let bad_rates = [f64::NAN, f64::INFINITY, -1.0];
+        // 1e300 is finite but would overflow the arrival batch's capacity
+        // and wrap the 32-bit UE ids.
+        let bad_rates = [f64::NAN, f64::INFINITY, -1.0, 1e300];
+        let every_engine = |sim: &DynamicSimulator| {
+            [
+                sim.run(),
+                sim.run_proto(&ProtoFaults::default()),
+                sim.run_sharded_n(2),
+                sim.run_scratch(),
+            ]
+        };
         for rate in bad_rates {
             let cfg = base_config(rate, 1);
             let sim = DynamicSimulator::new(cfg);
-            for out in [sim.run(), sim.run_event(), sim.run_scratch()] {
+            for out in every_engine(&sim) {
                 let err = out.unwrap_err();
                 assert!(
                     matches!(&err, Error::InvalidConfig(m) if m.contains("arrival_rate")),
@@ -2028,7 +1495,7 @@ mod tests {
             let mut cfg = base_config(10.0, 1);
             cfg.mean_holding = mean;
             let sim = DynamicSimulator::new(cfg);
-            for out in [sim.run(), sim.run_event(), sim.run_scratch()] {
+            for out in every_engine(&sim) {
                 let err = out.unwrap_err();
                 assert!(
                     matches!(&err, Error::InvalidConfig(m) if m.contains("mean_holding")),

@@ -248,7 +248,7 @@ mod tests {
                 epochs: 60,
                 seed: 13,
             })
-            .run_event()
+            .run()
             .unwrap();
             let simulated = 1.0 - sim.admission_ratio();
             assert!(
@@ -279,7 +279,7 @@ mod tests {
                 epochs: 120,
                 seed: 17,
             })
-            .run_event()
+            .run()
             .unwrap();
             let simulated = 1.0 - sim.admission_ratio();
             assert!(

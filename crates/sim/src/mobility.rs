@@ -10,9 +10,10 @@
 //! iteration"), and we track *handovers* (serving-BS changes), *drops*
 //! (served → cloud) and *recoveries* (cloud → served).
 //!
-//! Two engines produce bit-identical outcomes
-//! (`tests/mobility_incremental.rs` pins the equality across policies,
-//! seeds, allocators and thread counts):
+//! Every engine is the same epoch loop with one seam — where candidate
+//! rows come from, for the population and for the sticky policy's
+//! residual re-match — and they produce bit-identical outcomes (`tests/mobility_incremental.rs` and `tests/sharding.rs` pin
+//! the equality across policies, seeds, allocators and thread counts):
 //!
 //! * [`MobilitySimulator::run`] — the fast path: one epoch-persistent
 //!   [`DeploymentContext`] with the cross-epoch row cache enabled, so a
@@ -20,6 +21,8 @@
 //!   population, or any UE whose waypoint run left it in place) reuses
 //!   its candidate row verbatim, and moved UEs re-evaluate only their
 //!   pruned candidate slice through the batched link kernel;
+//! * [`MobilitySimulator::run_sharded`] — the same rows built by
+//!   region-shard workers with their own row caches;
 //! * [`MobilitySimulator::run_scratch`] — the executable specification:
 //!   a full exhaustive-scan [`ProblemInstance`] rebuild every epoch,
 //!   exactly the O(U×B) loop the paper describes.
@@ -45,19 +48,16 @@
 //! ```
 
 use crate::config::ScenarioConfig;
-use crate::dynamic::{push_common_aux, AuxCounters};
-use crate::shard::{self, EpochBudgets, ShardGrid, ShardJob};
-use dmra_core::{
-    solve_mode_default, Allocation, Allocator, CandidateLink, CandidateScan, DeploymentContext,
-    Dmra, ProblemInstance, SolveMode, Threads,
-};
+use crate::dynamic::{elapsed_ns, push_common_aux, record_solve_phase, AuxCounters, Rows};
+use crate::shard::{ShardGrid, ShardedRows};
+use dmra_core::{Allocation, Allocator, DeploymentContext, Dmra, ProblemInstance, Threads};
 use dmra_geo::rng::component_rng;
 use dmra_obs::{EpochObserver, EpochRecord};
-use dmra_par::WorkerPool;
 use dmra_types::{Cru, Error, Money, Point, Rect, Result, RrbCount, UeId, UeSpec};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// How the allocation is recomputed as UEs move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -81,9 +81,12 @@ pub struct MobilityConfig {
     /// Deployment, workload distributions and the UE population size
     /// (`n_ues` is honoured here, unlike in the arrival simulator).
     pub scenario: ScenarioConfig,
-    /// UE speed range in meters/second (random per UE, fixed for the run).
+    /// UE speed range `(lo, hi)` in meters/second (random per UE, fixed
+    /// for the run). Both ends must be finite and non-negative, with
+    /// `lo ≤ hi`.
     pub speed_mps: (f64, f64),
-    /// Wall-clock seconds per epoch (distance moved = speed × this).
+    /// Wall-clock seconds per epoch (distance moved = speed × this). Must
+    /// be finite and positive.
     pub epoch_seconds: f64,
     /// Number of epochs to simulate.
     pub epochs: usize,
@@ -97,6 +100,41 @@ pub struct MobilityConfig {
     /// Speeds are zeroed *after* all kinematics are drawn, so turning the
     /// knob never perturbs the mobile UEs' random streams.
     pub stationary_fraction: f64,
+}
+
+impl MobilityConfig {
+    /// Checks the numeric validity of the mobility parameters. Every
+    /// engine calls this before its first epoch, so a bad configuration
+    /// fails loudly: an infinite speed would spin the waypoint walk
+    /// forever, and a NaN speed would silently pin every UE.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidConfig`] naming the offending field when a
+    /// speed is non-finite or negative, `lo > hi`, `epoch_seconds` is
+    /// non-finite or not positive, or `stationary_fraction` is outside
+    /// `[0, 1]`.
+    pub fn validate(&self) -> Result<()> {
+        let (lo, hi) = self.speed_mps;
+        if !(lo.is_finite() && hi.is_finite() && 0.0 <= lo && lo <= hi) {
+            return Err(Error::InvalidConfig(format!(
+                "speed_mps ({lo}, {hi}) must be finite and non-negative with lo <= hi"
+            )));
+        }
+        if !(self.epoch_seconds.is_finite() && self.epoch_seconds > 0.0) {
+            return Err(Error::InvalidConfig(format!(
+                "epoch_seconds ({}) must be finite and positive",
+                self.epoch_seconds
+            )));
+        }
+        let f = self.stationary_fraction;
+        if !(0.0..=1.0).contains(&f) {
+            return Err(Error::InvalidConfig(format!(
+                "stationary fraction must be in [0, 1], got {f}"
+            )));
+        }
+        Ok(())
+    }
 }
 
 /// Aggregate results of a mobility run.
@@ -161,8 +199,8 @@ impl MobilitySimulator {
         }
     }
 
-    /// Replaces the per-epoch matcher (default: [`Dmra`]). Both engines
-    /// drive the allocator through one [`Allocator::session`] per run.
+    /// Replaces the per-epoch matcher (default: [`Dmra`]). Every engine
+    /// drives the allocator through one [`Allocator::session`] per run.
     #[must_use]
     pub fn with_allocator(mut self, allocator: Box<dyn Allocator>) -> Self {
         self.allocator = allocator;
@@ -189,90 +227,30 @@ impl MobilitySimulator {
     ///
     /// # Errors
     ///
-    /// Propagates scenario/instance build errors, and rejects a
-    /// `stationary_fraction` outside `[0, 1]`.
+    /// Returns [`Error::InvalidConfig`] for an invalid [`MobilityConfig`]
+    /// and propagates scenario/instance build errors.
     pub fn run(&self) -> Result<MobilityOutcome> {
-        let cfg = &self.config;
-        let initial = cfg.scenario.clone().build()?;
-        let mut ues: Vec<UeSpec> = initial.ues().to_vec();
-        let region = cfg.scenario.region;
-        let mut rng = component_rng(cfg.seed, "mobility");
-        let mut kin = draw_kinematics(cfg, ues.len(), region, &mut rng)?;
-
-        // The population never departs, so every epoch re-matches against
-        // the full budgets; the row cache sees identical budgets each
-        // epoch and invalidates only on the first one.
-        let full_cru: Vec<Vec<Cru>> = initial.bss().iter().map(|b| b.cru_budget.clone()).collect();
-        let full_rrb: Vec<RrbCount> = initial.bss().iter().map(|b| b.rrb_budget).collect();
-        let mut ctx = DeploymentContext::new(&initial).with_row_cache();
-        // Sticky re-matching solves against churning residual budgets, so
-        // its context gets no cache — it still reuses buffers and the
-        // batched kernel.
-        let mut res_ctx = DeploymentContext::new(&initial);
-        let mut session = self.allocator.session();
-
-        let mut previous: Option<Allocation> = None;
-        let mut outcome = empty_outcome(cfg.epochs);
-        let obs_on = dmra_obs::enabled();
-        let observer = self.observer.clone().or_else(dmra_obs::epoch_observer);
-        let aux_counters = observer.as_ref().map(|_| AuxCounters::fetch());
-        for epoch in 0..cfg.epochs {
-            let epoch_started = observer.as_ref().map(|_| std::time::Instant::now());
-            let aux_before = aux_counters.as_ref().map_or((0, 0, 0), AuxCounters::read);
-            let mob_before = (outcome.handovers, outcome.drops, outcome.recoveries);
-            let instance = ctx.epoch_instance(&full_cru, &full_rrb, ues.clone())?;
-            // The timed slice covers the allocator solve including the
-            // sticky residual re-match (split + residual assembly), i.e.
-            // everything between having an epoch instance and having an
-            // allocation.
-            let solve_started = obs_on.then(std::time::Instant::now);
-            let allocation = match (cfg.policy, &previous) {
-                (MobilityPolicy::Sticky, Some(prev)) => {
-                    let split = sticky_split(instance, prev);
-                    match split.residual_ues(instance) {
-                        None => split.kept,
-                        Some(res_ues) => {
-                            let residual =
-                                res_ctx.epoch_instance(&split.rem_cru, &split.rem_rrb, res_ues)?;
-                            split.merge(session.allocate(residual))
-                        }
-                    }
-                }
-                _ => session.allocate(instance),
-            };
-            let solve_ns = crate::dynamic::record_solve_phase(obs_on, solve_started);
-            debug_assert!(allocation.validate(instance).is_ok());
-            account_epoch(&mut outcome, instance, &allocation, previous.as_ref());
-            if let (Some(obs), Some(counters)) = (&observer, &aux_counters) {
-                let record = push_common_aux(
-                    mobility_det_record(epoch, &outcome, mob_before, allocation.digest()),
-                    elapsed_ns(epoch_started),
-                    solve_ns,
-                    counters,
-                    aux_before,
-                );
-                obs.on_record(&record);
-            }
-            previous = Some(allocation);
-            advance_waypoints(&mut ues, &mut kin, region, cfg.epoch_seconds, &mut rng);
-        }
-        Ok(outcome)
+        let initial = self.initial()?;
+        self.drive(
+            &initial,
+            Rows::Context(DeploymentContext::new(&initial).with_row_cache()),
+            // Sticky re-matching solves against churning residual budgets,
+            // so its context gets no row cache.
+            Rows::Context(DeploymentContext::new(&initial)),
+        )
     }
 
     /// Runs the simulation on the **region-sharded engine**: UEs are
     /// routed to `rows × cols` rectangular shards by position each
-    /// epoch; long-lived shard workers build the candidate rows in
-    /// parallel, each against a [`DeploymentContext`] narrowed to the
-    /// shard's sites plus a coverage halo **with the cross-epoch row
-    /// cache enabled** — routing preserves global UE order within a
-    /// shard, so a stationary UE keeps a stable shard-local slot and its
-    /// cached row keeps hitting. A UE crossing a shard seam is simply
-    /// re-routed (counted in the `sim.shard_handovers` telemetry
-    /// counter); its serving-BS stickiness is untouched, because the
-    /// sticky-residual re-matching runs on the coordinator against the
-    /// merged instance exactly as in [`MobilitySimulator::run`].
-    /// Outcomes are bit-identical to the unsharded engines for every
-    /// shard count (`tests/sharding.rs` pins it).
+    /// epoch, and long-lived shard workers build their rows against
+    /// contexts narrowed to the shard's sites plus a coverage halo **with
+    /// the cross-epoch row cache enabled** — routing preserves global UE
+    /// order within a shard, so a stationary UE keeps its cached row. A
+    /// UE crossing a shard seam is simply re-routed (counted in the
+    /// `sim.shard_handovers` telemetry counter); the sticky re-matching
+    /// runs on the merged instance exactly as in
+    /// [`MobilitySimulator::run`]. Bit-identical to the unsharded engines
+    /// for every shard count (`tests/sharding.rs` pins it).
     ///
     /// # Errors
     ///
@@ -296,127 +274,13 @@ impl MobilitySimulator {
     }
 
     fn run_sharded_grid(&self, grid: &ShardGrid) -> Result<MobilityOutcome> {
-        let cfg = &self.config;
-        shard::reject_interference(&cfg.scenario.radio)?;
-        let initial = cfg.scenario.clone().build()?;
-        let mut ues: Vec<UeSpec> = initial.ues().to_vec();
-        let region = cfg.scenario.region;
-        let mut rng = component_rng(cfg.seed, "mobility");
-        let mut kin = draw_kinematics(cfg, ues.len(), region, &mut rng)?;
-
-        let full_cru: Vec<Vec<Cru>> = initial.bss().iter().map(|b| b.cru_budget.clone()).collect();
-        let full_rrb: Vec<RrbCount> = initial.bss().iter().map(|b| b.rrb_budget).collect();
-        // The population never departs, so every epoch re-matches against
-        // the full budgets — one shared snapshot serves the whole run.
-        let budgets = Arc::new(EpochBudgets {
-            cru: full_cru.clone(),
-            rrb: full_rrb.clone(),
-        });
-        let (slots, registries) = shard::build_slots(&initial, grid, true);
-        let pool = WorkerPool::new(slots);
-        let obs_on = dmra_obs::enabled();
-        // Expose the live shard registries to mid-run /metrics scrapes;
-        // the guard is dropped before `merge_registries` folds them into
-        // the global registry, so nothing is ever double-counted.
-        let scrape_guard = obs_on.then(|| dmra_obs::register_scrape_sources(&registries));
-        let worker = shard::row_build_worker(obs_on);
-        let mut asm = DeploymentContext::new(&initial);
-        // Under the delta solve mode the coordinator translates the shard
-        // workers' per-shard dirty sets into global ones and stages them
-        // on `asm`, so the merged instance carries the same churn
-        // metadata the unsharded engine's row cache produces.
-        let mut delta_tracker = (solve_mode_default() == SolveMode::Delta)
-            .then(|| shard::DeltaTracker::new(grid.count()));
-        // Sticky re-matching solves against churning residual budgets on
-        // the coordinator, exactly as in `run` — no cache.
-        let mut res_ctx = DeploymentContext::new(&initial);
-        let mut session = self.allocator.session();
-
-        let mut previous: Option<Allocation> = None;
-        let mut prev_owners: Vec<usize> = Vec::new();
-        let mut shard_handovers = 0u64;
-        let mut outcome = empty_outcome(cfg.epochs);
-        let mut merged_links: Vec<CandidateLink> = Vec::new();
-        let mut merged_starts: Vec<usize> = Vec::new();
-        let observer = self.observer.clone().or_else(dmra_obs::epoch_observer);
-        let aux_counters = observer.as_ref().map(|_| AuxCounters::fetch());
-        for epoch in 0..cfg.epochs {
-            let epoch_started = observer.as_ref().map(|_| std::time::Instant::now());
-            let aux_before = aux_counters.as_ref().map_or((0, 0, 0), AuxCounters::read);
-            let mob_before = (outcome.handovers, outcome.drops, outcome.recoveries);
-            let seam_before = shard_handovers;
-            let (owners, batches) = shard::route(grid, &ues);
-            if !prev_owners.is_empty() {
-                shard_handovers += owners
-                    .iter()
-                    .zip(&prev_owners)
-                    .filter(|(now, before)| now != before)
-                    .count() as u64;
-            }
-            let shard_load: Option<Vec<u64>> = observer
-                .as_ref()
-                .map(|_| batches.iter().map(|b| b.len() as u64).collect());
-            let jobs: Vec<ShardJob> = batches
-                .into_iter()
-                .map(|batch| (Arc::clone(&budgets), batch))
-                .collect();
-            let rows = pool
-                .run(jobs, worker.clone())
-                .into_iter()
-                .collect::<Result<Vec<_>>>()?;
-            shard::merge_rows(&owners, &rows, &mut merged_links, &mut merged_starts);
-            if let Some(tracker) = delta_tracker.as_mut() {
-                tracker.stage(&mut asm, &owners, &rows, initial.bss().len());
-            }
-            let instance = asm.epoch_instance_prebuilt(
-                &full_cru,
-                &full_rrb,
-                ues.clone(),
-                &merged_links,
-                &merged_starts,
-            )?;
-            let solve_started = obs_on.then(std::time::Instant::now);
-            let allocation = match (cfg.policy, &previous) {
-                (MobilityPolicy::Sticky, Some(prev)) => {
-                    let split = sticky_split(instance, prev);
-                    match split.residual_ues(instance) {
-                        None => split.kept,
-                        Some(res_ues) => {
-                            let residual =
-                                res_ctx.epoch_instance(&split.rem_cru, &split.rem_rrb, res_ues)?;
-                            split.merge(session.allocate(residual))
-                        }
-                    }
-                }
-                _ => session.allocate(instance),
-            };
-            let solve_ns = crate::dynamic::record_solve_phase(obs_on, solve_started);
-            debug_assert!(allocation.validate(instance).is_ok());
-            account_epoch(&mut outcome, instance, &allocation, previous.as_ref());
-            if let (Some(obs), Some(counters)) = (&observer, &aux_counters) {
-                let record = push_common_aux(
-                    mobility_det_record(epoch, &outcome, mob_before, allocation.digest()),
-                    elapsed_ns(epoch_started),
-                    solve_ns,
-                    counters,
-                    aux_before,
-                )
-                .aux("shard_load", shard_load.unwrap_or_default())
-                .aux("shard_handovers", shard_handovers - seam_before);
-                obs.on_record(&record);
-            }
-            previous = Some(allocation);
-            prev_owners = owners;
-            advance_waypoints(&mut ues, &mut kin, region, cfg.epoch_seconds, &mut rng);
-        }
-        drop(scrape_guard);
-        if obs_on {
-            static SHARD_HANDOVERS: dmra_obs::LazyCounter =
-                dmra_obs::LazyCounter::new("sim.shard_handovers");
-            SHARD_HANDOVERS.get().add(shard_handovers);
-            shard::merge_registries(&registries);
-        }
-        Ok(outcome)
+        let initial = self.initial()?;
+        let sharded = ShardedRows::new(&initial, grid, true)?;
+        self.drive(
+            &initial,
+            Rows::Sharded(sharded),
+            Rows::Context(DeploymentContext::new(&initial)),
+        )
     }
 
     /// Runs the simulation on the executable-specification engine: a full
@@ -440,13 +304,41 @@ impl MobilitySimulator {
     ///
     /// Same as [`MobilitySimulator::run`].
     pub fn run_scratch_with_threads(&self, threads: Threads) -> Result<MobilityOutcome> {
+        let initial = self.initial()?;
+        self.drive(
+            &initial,
+            Rows::scratch(&initial, threads),
+            Rows::scratch(&initial, threads),
+        )
+    }
+
+    /// Validates the configuration and builds the initial population.
+    fn initial(&self) -> Result<ProblemInstance> {
+        self.config.validate()?;
+        self.config.scenario.clone().build()
+    }
+
+    /// The one epoch loop behind every engine: build the population's
+    /// rows through `rows`, solve (full reallocation, or sticky with the
+    /// broken UEs re-matched on an instance from `residual`), account,
+    /// record, then move every UE.
+    fn drive(
+        &self,
+        initial: &ProblemInstance,
+        mut rows: Rows<'_>,
+        mut residual: Rows<'_>,
+    ) -> Result<MobilityOutcome> {
         let cfg = &self.config;
-        let initial = cfg.scenario.clone().build()?;
         let mut ues: Vec<UeSpec> = initial.ues().to_vec();
         let region = cfg.scenario.region;
         let mut rng = component_rng(cfg.seed, "mobility");
-        let mut kin = draw_kinematics(cfg, ues.len(), region, &mut rng)?;
-
+        let mut kin = draw_kinematics(cfg, ues.len(), region, &mut rng);
+        // The population never departs, so every epoch re-matches against
+        // the full budgets, and a row cache sees identical budgets each
+        // epoch.
+        let mut full_cru: Vec<Vec<Cru>> =
+            initial.bss().iter().map(|b| b.cru_budget.clone()).collect();
+        let mut full_rrb: Vec<RrbCount> = initial.bss().iter().map(|b| b.rrb_budget).collect();
         let mut session = self.allocator.session();
         let mut previous: Option<Allocation> = None;
         let mut outcome = empty_outcome(cfg.epochs);
@@ -454,91 +346,66 @@ impl MobilitySimulator {
         let observer = self.observer.clone().or_else(dmra_obs::epoch_observer);
         let aux_counters = observer.as_ref().map(|_| AuxCounters::fetch());
         for epoch in 0..cfg.epochs {
-            let epoch_started = observer.as_ref().map(|_| std::time::Instant::now());
+            let epoch_started = observer.as_ref().map(|_| Instant::now());
             let aux_before = aux_counters.as_ref().map_or((0, 0, 0), AuxCounters::read);
             let mob_before = (outcome.handovers, outcome.drops, outcome.recoveries);
-            let instance = ProblemInstance::build_with_scan(
-                initial.sps().to_vec(),
-                initial.bss().to_vec(),
-                ues.clone(),
-                initial.catalog(),
-                *initial.pricing(),
-                *initial.radio(),
-                initial.coverage(),
-                threads,
-                CandidateScan::Exhaustive,
-            )?;
-            let solve_started = obs_on.then(std::time::Instant::now);
+            let instance = rows.epoch_instance(&mut full_cru, &mut full_rrb, ues.clone())?;
+            // The timed slice covers the allocator solve including the
+            // sticky residual re-match (split + residual assembly), i.e.
+            // everything between having an epoch instance and having an
+            // allocation.
+            let solve_started = obs_on.then(Instant::now);
             let allocation = match (cfg.policy, &previous) {
                 (MobilityPolicy::Sticky, Some(prev)) => {
-                    let split = sticky_split(&instance, prev);
-                    match split.residual_ues(&instance) {
+                    let mut split = sticky_split(instance, prev);
+                    match split.residual_ues(instance) {
                         None => split.kept,
                         Some(res_ues) => {
-                            let residual = instance.residual_with(
-                                &split.rem_cru,
-                                &split.rem_rrb,
+                            let res = residual.epoch_instance(
+                                &mut split.rem_cru,
+                                &mut split.rem_rrb,
                                 res_ues,
-                                threads,
-                                CandidateScan::Exhaustive,
                             )?;
-                            split.merge(session.allocate(&residual))
+                            split.merge(session.allocate(res))
                         }
                     }
                 }
-                _ => session.allocate(&instance),
+                _ => session.allocate(instance),
             };
-            let solve_ns = crate::dynamic::record_solve_phase(obs_on, solve_started);
-            debug_assert!(allocation.validate(&instance).is_ok());
-            account_epoch(&mut outcome, &instance, &allocation, previous.as_ref());
+            let solve_ns = record_solve_phase(obs_on, solve_started);
+            debug_assert!(allocation.validate(instance).is_ok());
+            account_epoch(&mut outcome, instance, &allocation, previous.as_ref());
             if let (Some(obs), Some(counters)) = (&observer, &aux_counters) {
+                // The engine-independent det section; counters are
+                // per-epoch deltas.
+                let record = EpochRecord::new("mobility.epoch", epoch as u64)
+                    .det(
+                        "served",
+                        outcome.served_timeline.last().copied().unwrap_or(0),
+                    )
+                    .det("handovers", outcome.handovers - mob_before.0)
+                    .det("drops", outcome.drops - mob_before.1)
+                    .det("recoveries", outcome.recoveries - mob_before.2)
+                    .det(
+                        "profit",
+                        outcome.profit_timeline.last().map_or(0.0, |p| p.get()),
+                    )
+                    .det("digest", allocation.digest());
                 let record = push_common_aux(
-                    mobility_det_record(epoch, &outcome, mob_before, allocation.digest()),
+                    record,
                     elapsed_ns(epoch_started),
                     solve_ns,
                     counters,
                     aux_before,
                 );
-                obs.on_record(&record);
+                obs.on_record(&rows.push_aux(record));
             }
             previous = Some(allocation);
             advance_waypoints(&mut ues, &mut kin, region, cfg.epoch_seconds, &mut rng);
         }
+        rows.finish();
         Ok(outcome)
     }
-}
-
-/// Builds the engine-independent `det` section of a `"mobility.epoch"`
-/// flight record. All three mobility engines go through this one helper
-/// so field order and content are byte-identical across engines.
-/// Counters are per-epoch deltas against the `before` reading of
-/// `(handovers, drops, recoveries)`; `digest` is the epoch allocation's
-/// [`Allocation::digest`].
-fn mobility_det_record(
-    epoch: usize,
-    outcome: &MobilityOutcome,
-    before: (u64, u64, u64),
-    digest: u64,
-) -> EpochRecord {
-    EpochRecord::new("mobility.epoch", epoch as u64)
-        .det(
-            "served",
-            outcome.served_timeline.last().copied().unwrap_or(0),
-        )
-        .det("handovers", outcome.handovers - before.0)
-        .det("drops", outcome.drops - before.1)
-        .det("recoveries", outcome.recoveries - before.2)
-        .det(
-            "profit",
-            outcome.profit_timeline.last().map_or(0.0, |p| p.get()),
-        )
-        .det("digest", digest)
-}
-
-fn elapsed_ns(started: Option<std::time::Instant>) -> u64 {
-    started.map_or(0, |t| {
-        u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    })
 }
 
 fn empty_outcome(epochs: usize) -> MobilityOutcome {
@@ -560,13 +427,7 @@ fn draw_kinematics(
     n_ues: usize,
     region: Rect,
     rng: &mut StdRng,
-) -> Result<Vec<Kinematics>> {
-    let f = cfg.stationary_fraction;
-    if !(0.0..=1.0).contains(&f) {
-        return Err(Error::InvalidConfig(format!(
-            "stationary fraction must be in [0, 1], got {f}"
-        )));
-    }
+) -> Vec<Kinematics> {
     let (slo, shi) = cfg.speed_mps;
     let mut kin: Vec<Kinematics> = (0..n_ues)
         .map(|_| Kinematics {
@@ -578,11 +439,11 @@ fn draw_kinematics(
             },
         })
         .collect();
-    let pinned = (f * n_ues as f64).floor() as usize;
+    let pinned = (cfg.stationary_fraction * n_ues as f64).floor() as usize;
     for k in kin.iter_mut().take(pinned.min(n_ues)) {
         k.speed = 0.0;
     }
-    Ok(kin)
+    kin
 }
 
 /// Advances the random-waypoint kinematics by one epoch. Pinned UEs
@@ -785,6 +646,42 @@ mod tests {
         assert!(half.handovers + half.drops <= free.handovers + free.drops);
         cfg.stationary_fraction = 1.5;
         assert!(MobilitySimulator::new(cfg).run().is_err());
+    }
+
+    #[test]
+    fn invalid_configs_are_rejected_by_every_engine() {
+        let base = config((1.0, 2.0), 3, 1);
+        let mut bad = Vec::new();
+        for speed_mps in [
+            (f64::INFINITY, f64::INFINITY),
+            (f64::NAN, f64::NAN),
+            (1.0, f64::INFINITY),
+            (-1.0, 2.0),
+            (3.0, 2.0),
+        ] {
+            let cfg = MobilityConfig {
+                speed_mps,
+                ..base.clone()
+            };
+            bad.push((cfg, "speed_mps"));
+        }
+        for epoch_seconds in [0.0, -10.0, f64::NAN, f64::INFINITY] {
+            let cfg = MobilityConfig {
+                epoch_seconds,
+                ..base.clone()
+            };
+            bad.push((cfg, "epoch_seconds"));
+        }
+        for (cfg, field) in bad {
+            let sim = MobilitySimulator::new(cfg);
+            for out in [sim.run(), sim.run_sharded_n(2), sim.run_scratch()] {
+                let err = out.unwrap_err();
+                assert!(
+                    matches!(&err, Error::InvalidConfig(m) if m.contains(field)),
+                    "{field}: unexpected error {err}"
+                );
+            }
+        }
     }
 
     #[test]

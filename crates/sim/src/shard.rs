@@ -27,8 +27,12 @@
 //! build — the dominant per-epoch cost at scale — and leaves the matcher
 //! bit-identical by construction (`tests/sharding.rs` pins it).
 
-use dmra_core::{CandidateLink, CoverageModel, DeltaInfo, DeploymentContext, ProblemInstance};
-use dmra_obs::{Histogram, Registry};
+use dmra_core::{
+    solve_mode_default, CandidateLink, CoverageModel, DeltaInfo, DeploymentContext,
+    ProblemInstance, SolveMode,
+};
+use dmra_obs::{EpochRecord, Histogram, Registry, ScrapeGuard};
+use dmra_par::WorkerPool;
 use dmra_radio::{InterferenceModel, RadioConfig};
 use dmra_types::{Cru, Error, Meters, Point, Rect, Result, RrbCount, UeId, UeSpec};
 use std::sync::Arc;
@@ -200,6 +204,7 @@ pub(crate) struct ShardRows {
 }
 
 /// The epoch's remaining budgets, shared read-only with every worker.
+#[derive(Clone)]
 pub(crate) struct EpochBudgets {
     pub(crate) cru: Vec<Vec<Cru>>,
     pub(crate) rrb: Vec<RrbCount>,
@@ -207,12 +212,12 @@ pub(crate) struct EpochBudgets {
 
 /// One worker's input for one epoch: the shared budgets and its routed,
 /// locally re-numbered arrival batch.
-pub(crate) type ShardJob = (Arc<EpochBudgets>, Vec<UeSpec>);
+type ShardJob = (Arc<EpochBudgets>, Vec<UeSpec>);
 
 /// Rejects deployments whose candidate rows cannot be built per shard:
 /// under load-proportional interference every row depends on the whole
 /// arrival batch, which a shard-local build cannot see.
-pub(crate) fn reject_interference(radio: &RadioConfig) -> Result<()> {
+fn reject_interference(radio: &RadioConfig) -> Result<()> {
     match radio.interference {
         InterferenceModel::NoiseOnly => Ok(()),
         InterferenceModel::LoadProportional { .. } => Err(Error::InvalidConfig(
@@ -229,7 +234,7 @@ pub(crate) fn reject_interference(radio: &RadioConfig) -> Result<()> {
 /// cache — the mobility regime), and a private registry holding the
 /// `online.shard_epoch_ns` histogram. Returns the slots (for the worker
 /// pool) and the registry handles (for the end-of-run merge).
-pub(crate) fn build_slots(
+fn build_slots(
     deployment: &ProblemInstance,
     grid: &ShardGrid,
     with_cache: bool,
@@ -267,7 +272,7 @@ pub(crate) fn build_slots(
 /// shard's epoch instance against the shared budgets and copy out its
 /// candidate rows (shard-local UE order). Records the build's wall time
 /// into the shard's private `online.shard_epoch_ns` histogram.
-pub(crate) fn row_build_worker(
+fn row_build_worker(
     obs_on: bool,
 ) -> impl Fn(usize, &mut ShardSlot, ShardJob) -> Result<ShardRows> + Clone + Send + Sync + 'static {
     move |_shard, slot, (budgets, ues)| {
@@ -299,7 +304,7 @@ pub(crate) fn row_build_worker(
 /// merged rows come back out in global order via [`merge_rows`] — and a
 /// stationary UE keeps a stable shard-local index epoch over epoch,
 /// which is what keeps the per-shard row caches hitting.
-pub(crate) fn route(grid: &ShardGrid, ues: &[UeSpec]) -> (Vec<usize>, Vec<Vec<UeSpec>>) {
+fn route(grid: &ShardGrid, ues: &[UeSpec]) -> (Vec<usize>, Vec<Vec<UeSpec>>) {
     let mut owners = Vec::with_capacity(ues.len());
     let mut batches: Vec<Vec<UeSpec>> = (0..grid.count()).map(|_| Vec::new()).collect();
     for ue in ues {
@@ -317,7 +322,7 @@ pub(crate) fn route(grid: &ShardGrid, ues: &[UeSpec]) -> (Vec<usize>, Vec<Vec<Ue
 /// result is exactly what the unsharded context's own scan would produce
 /// (the shard contexts see identical candidate BSs by the mirroring
 /// invariant), ready for `epoch_instance_prebuilt`.
-pub(crate) fn merge_rows(
+fn merge_rows(
     owners: &[usize],
     rows: &[ShardRows],
     links: &mut Vec<CandidateLink>,
@@ -333,6 +338,150 @@ pub(crate) fn merge_rows(
         links.extend_from_slice(&r.links[r.row_start[u]..r.row_start[u + 1]]);
         row_start.push(links.len());
         cursors[shard] += 1;
+    }
+}
+
+/// The sharded row source of both simulators' epoch loops: long-lived
+/// shard workers build candidate rows against a shared budget snapshot,
+/// and a coordinator context merges them back into global UE order and
+/// assembles the epoch instance.
+pub(crate) struct ShardedRows<'g> {
+    grid: &'g ShardGrid,
+    pool: WorkerPool<ShardSlot>,
+    registries: Vec<Arc<Registry>>,
+    // While the run is in flight the per-shard registries are only merged
+    // into the global one at the end; registering them as live scrape
+    // sources lets a concurrent `/metrics` scrape see shard-local counters
+    // mid-run.
+    scrape_guard: Option<ScrapeGuard>,
+    /// The coordinator context: assembles the merged instance and performs
+    /// the global validation (budgets, UEs, pricing margin).
+    asm: DeploymentContext,
+    /// Present when the shard contexts cache rows under the delta solve
+    /// mode: stages global dirty sets on `asm`, so the merged instance
+    /// carries the same churn metadata an unsharded row cache produces.
+    delta: Option<DeltaTracker>,
+    n_bss: usize,
+    obs_on: bool,
+    links: Vec<CandidateLink>,
+    row_start: Vec<usize>,
+    /// A persistent population (the mobility regime) rather than fresh
+    /// arrival batches: shard contexts cache rows, and routes are compared
+    /// across epochs to count seam crossings.
+    persistent: bool,
+    /// The last build's routing.
+    owners: Vec<usize>,
+    seam_crossings: u64,
+    /// Seam crossings already reported in a flight record.
+    crossings_seen: u64,
+    load: Vec<u64>,
+}
+
+impl<'g> ShardedRows<'g> {
+    /// Spawns one worker per shard of `grid`. A `persistent` population
+    /// (the mobility regime, where a stationary UE keeps a stable
+    /// shard-local slot) enables the shard contexts' cross-epoch row
+    /// cache; arrival batches are fresh UEs every epoch and build
+    /// uncached.
+    ///
+    /// # Errors
+    ///
+    /// Rejects a load-proportional interference model (see
+    /// [`reject_interference`]).
+    pub(crate) fn new(
+        deployment: &ProblemInstance,
+        grid: &'g ShardGrid,
+        persistent: bool,
+    ) -> Result<Self> {
+        reject_interference(deployment.radio())?;
+        let (slots, registries) = build_slots(deployment, grid, persistent);
+        let obs_on = dmra_obs::enabled();
+        Ok(Self {
+            grid,
+            pool: WorkerPool::new(slots),
+            scrape_guard: obs_on.then(|| dmra_obs::register_scrape_sources(&registries)),
+            registries,
+            asm: DeploymentContext::new(deployment),
+            delta: (persistent && solve_mode_default() == SolveMode::Delta)
+                .then(|| DeltaTracker::new(grid.count())),
+            n_bss: deployment.bss().len(),
+            obs_on,
+            links: Vec::new(),
+            row_start: Vec::new(),
+            persistent,
+            owners: Vec::new(),
+            seam_crossings: 0,
+            crossings_seen: 0,
+            load: Vec::new(),
+        })
+    }
+
+    /// Routes `ues` to their shards, fans the row builds out to the
+    /// workers and assembles the merged epoch instance against `budgets`.
+    pub(crate) fn build(
+        &mut self,
+        budgets: &Arc<EpochBudgets>,
+        ues: Vec<UeSpec>,
+    ) -> Result<&ProblemInstance> {
+        let (owners, batches) = route(self.grid, &ues);
+        self.load.clear();
+        self.load.extend(batches.iter().map(|b| b.len() as u64));
+        let jobs: Vec<ShardJob> = batches
+            .into_iter()
+            .map(|batch| (Arc::clone(budgets), batch))
+            .collect();
+        let rows = self
+            .pool
+            .run(jobs, row_build_worker(self.obs_on))
+            .into_iter()
+            .collect::<Result<Vec<_>>>()?;
+        merge_rows(&owners, &rows, &mut self.links, &mut self.row_start);
+        if let Some(tracker) = self.delta.as_mut() {
+            tracker.stage(&mut self.asm, &self.owners, &owners, &rows, self.n_bss);
+        }
+        if self.persistent && !self.owners.is_empty() {
+            self.seam_crossings += owners
+                .iter()
+                .zip(&self.owners)
+                .filter(|(now, before)| now != before)
+                .count() as u64;
+        }
+        self.owners = owners;
+        self.asm.epoch_instance_prebuilt(
+            &budgets.cru,
+            &budgets.rrb,
+            ues,
+            &self.links,
+            &self.row_start,
+        )
+    }
+
+    /// Appends the last build's per-shard batch sizes (empty for an epoch
+    /// without a build) and, for a persistent population, the epoch's
+    /// seam crossings to a flight record.
+    pub(crate) fn push_aux(&mut self, record: EpochRecord) -> EpochRecord {
+        let record = record.aux("shard_load", std::mem::take(&mut self.load));
+        if !self.persistent {
+            return record;
+        }
+        let crossings = self.seam_crossings - self.crossings_seen;
+        self.crossings_seen = self.seam_crossings;
+        record.aux("shard_handovers", crossings)
+    }
+
+    /// Ends the run: unregisters the live scrape sources *before* folding
+    /// the shard registries into the global one, so no scrape
+    /// double-counts.
+    pub(crate) fn finish(self) {
+        drop(self.scrape_guard);
+        if self.obs_on {
+            if self.persistent {
+                static SHARD_HANDOVERS: dmra_obs::LazyCounter =
+                    dmra_obs::LazyCounter::new("sim.shard_handovers");
+                SHARD_HANDOVERS.get().add(self.seam_crossings);
+            }
+            merge_registries(&self.registries);
+        }
     }
 }
 
@@ -352,7 +501,6 @@ pub(crate) fn merge_rows(
 /// coordinator context's own lineage, so the delta solver's continuity
 /// guard composes unchanged.
 pub(crate) struct DeltaTracker {
-    prev_owners: Vec<usize>,
     /// Per shard: the previous epoch's `(ctx_id, seq)`, or `None` when
     /// the shard did not report a delta.
     lineages: Vec<Option<(u64, u64)>>,
@@ -363,7 +511,6 @@ pub(crate) struct DeltaTracker {
 impl DeltaTracker {
     pub(crate) fn new(shards: usize) -> Self {
         Self {
-            prev_owners: Vec::new(),
             lineages: vec![None; shards],
             primed: false,
         }
@@ -372,18 +519,19 @@ impl DeltaTracker {
     /// Merges the shards' dirty sets into global ones and stages them on
     /// the coordinator context for its next
     /// [`DeploymentContext::epoch_instance_prebuilt`] call. `owners` is
-    /// this epoch's routing (from [`route`]), `rows` the workers' builds,
-    /// `n_bss` the deployment's BS count (sizing the full-dirty
-    /// fallback).
+    /// this epoch's routing (from [`route`]) and `prev_owners` the
+    /// previous epoch's, `rows` the workers' builds, `n_bss` the
+    /// deployment's BS count (sizing the full-dirty fallback).
     pub(crate) fn stage(
         &mut self,
         asm: &mut DeploymentContext,
+        prev_owners: &[usize],
         owners: &[usize],
         rows: &[ShardRows],
         n_bss: usize,
     ) {
         let continuous = self.primed
-            && *owners == self.prev_owners
+            && owners == prev_owners
             && rows
                 .iter()
                 .zip(&self.lineages)
@@ -426,8 +574,6 @@ impl DeltaTracker {
             )
         };
         asm.stage_delta(Some(dirty));
-        self.prev_owners.clear();
-        self.prev_owners.extend_from_slice(owners);
         for (lin, r) in self.lineages.iter_mut().zip(rows) {
             *lin = r.delta.as_ref().map(|d| (d.ctx_id, d.seq));
         }
@@ -439,7 +585,7 @@ impl DeltaTracker {
 /// and histograms add, gauges max) and resets the privates, so a
 /// `--trace-out` snapshot taken after the run carries the per-shard
 /// `online.shard_epoch_ns` samples.
-pub(crate) fn merge_registries(registries: &[Arc<Registry>]) {
+fn merge_registries(registries: &[Arc<Registry>]) {
     for registry in registries {
         dmra_obs::global().merge(registry);
         registry.reset();

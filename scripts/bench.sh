@@ -2,9 +2,10 @@
 # Performance tracking: the criterion wall-clock benches, then the
 # machine-readable sweep/build/solver/online measurement that (re)writes
 # BENCH_sweep.json and BENCH_dynamic.json at the workspace root, the
-# event-engine gate that writes BENCH_dynamic_event.json (fails when the
-# event engine's low-load speedup over the epoch loop drops below its
-# bound — 5x by default, see DMRA_EVENT_SPEEDUP_MIN), the link-batch
+# low-load gate that writes BENCH_dynamic_event.json (fails when the
+# incremental engine's speedup over the scratch epoch loop on a low-load
+# long horizon drops below its bound — 5x by default, see
+# DMRA_EVENT_SPEEDUP_MIN), the link-batch
 # gate that writes BENCH_linkbatch.json (fails when the batched kernel /
 # row-cached mobility loop drops below its bound — 1.5x by default, see
 # DMRA_LINKBATCH_SPEEDUP_MIN), the shard gate that writes

@@ -21,9 +21,9 @@ cargo build -q -p dmra-cli
 record="$(mktemp /tmp/dmra-smoke-XXXXXX.jsonl)"
 stderr_log="$(mktemp /tmp/dmra-smoke-XXXXXX.log)"
 proto_record="$(mktemp /tmp/dmra-smoke-proto-XXXXXX.jsonl)"
-delta_record="$(mktemp /tmp/dmra-smoke-delta-XXXXXX.jsonl)"
-delta_base="$(mktemp /tmp/dmra-smoke-deltabase-XXXXXX.jsonl)"
-trap 'rm -f "$record" "$stderr_log" "$proto_record" "$delta_record" "$delta_base"' EXIT
+det_record="$(mktemp /tmp/dmra-smoke-det-XXXXXX.jsonl)"
+det_base="$(mktemp /tmp/dmra-smoke-detbase-XXXXXX.jsonl)"
+trap 'rm -f "$record" "$stderr_log" "$proto_record" "$det_record" "$det_base"' EXIT
 ./target/debug/dmra dynamic --rate 120 --epochs 8000 \
     --record "$record" --metrics-addr 127.0.0.1:0 \
     >/dev/null 2>"$stderr_log" &
@@ -73,17 +73,30 @@ grep -q '"proto_dropped":' "$proto_record" || { echo "proto epochs carry no degr
 grep -q '"oracle_profit_gap":' "$proto_record" || { echo "proto epochs carry no oracle gap" >&2; exit 1; }
 echo "proto-engine smoke OK ($(wc -l <"$proto_record") records)"
 
-# Delta-solve smoke: the cross-epoch delta solver must leave an epoch
-# digest trail bit-identical to the incremental engine's default solve
-# path — same workload, same flight-record schema, only the solver
-# differs. The nondeterministic "aux" halves (wall-clock timings) are
-# stripped before comparing.
-./target/debug/dmra dynamic --rate 40 --epochs 200 --solve delta \
-    --record "$delta_record" >/dev/null
-./target/debug/dmra dynamic --rate 40 --epochs 200 \
-    --record "$delta_base" >/dev/null
-[[ "$(wc -l <"$delta_record")" -eq 200 ]] || { echo "expected 200 delta flight records, got $(wc -l <"$delta_record")" >&2; exit 1; }
-cmp -s <(sed 's/, "aux": {.*}}$//' "$delta_record") \
-       <(sed 's/, "aux": {.*}}$//' "$delta_base") \
-    || { echo "--solve delta epoch digests diverged from the incremental engine" >&2; exit 1; }
-echo "delta-solve smoke OK (200 epoch digests identical)"
+# Engine digest smoke: every seam of each simulator's one epoch loop —
+# scratch rows, sharded rows, the fault-free protocol matcher and the
+# delta solve path — must leave an epoch digest trail bit-identical to the
+# incremental engine's, driven from the CLI. Only the per-epoch streams
+# are compared (the proto engine also records per-round lines), and their
+# nondeterministic "aux" halves (wall-clock timings, shard loads) are
+# stripped first.
+det() { grep '"stream": "\(sim\|mobility\)\.epoch"' "$1" | sed 's/, "aux": {.*}}$//'; }
+for cmd in dynamic mobility; do
+    if [[ "$cmd" == dynamic ]]; then
+        base_args=(dynamic --rate 40 --epochs 200)
+        variants=("--engine scratch" "--engine proto" "--shards 2" "--solve delta")
+    else
+        base_args=(mobility --ues 200 --speed 12 --stationary 0.5 --policy sticky --epochs 40)
+        variants=("--engine scratch" "--shards 2")
+    fi
+    ./target/debug/dmra "${base_args[@]}" --record "$det_base" >/dev/null
+    epochs="$(det "$det_base" | wc -l)"
+    [[ "$epochs" -eq "${base_args[-1]}" ]] || { echo "expected ${base_args[-1]} $cmd epoch records, got $epochs" >&2; exit 1; }
+    for variant in "${variants[@]}"; do
+        # shellcheck disable=SC2086 # the variant is two words on purpose
+        ./target/debug/dmra "${base_args[@]}" $variant --record "$det_record" >/dev/null
+        cmp -s <(det "$det_record") <(det "$det_base") \
+            || { echo "$cmd $variant epoch digests diverged from the incremental engine" >&2; exit 1; }
+    done
+    echo "$cmd digest smoke OK (${variants[*]}: $epochs epoch digests identical)"
+done

@@ -280,7 +280,7 @@ fn sharded_mobility_under_delta_matches_unsharded_and_scratch() {
     }
 }
 
-/// Every dynamic engine under the delta mode: incremental, event-driven,
+/// Every dynamic engine under the delta mode: incremental,
 /// region-sharded (which stages no deltas — the solver fails closed into
 /// the component path) and the fault-free message-passing protocol all
 /// match the scratch loop with a monolithic reference allocator.
@@ -307,11 +307,6 @@ fn dynamic_engines_are_bit_identical_under_delta() {
             sim.run().unwrap(),
             mono,
             "incremental diverged (rate {rate})"
-        );
-        assert_eq!(
-            sim.run_event().unwrap(),
-            mono,
-            "event diverged (rate {rate})"
         );
         assert_eq!(
             sim.run_sharded_n(4).unwrap(),

@@ -2,8 +2,8 @@
 //! `--record` JSONL stream is byte-identical across engines, thread
 //! counts and decimation settings.
 //!
-//! Every engine builds its `det` section through one shared helper per
-//! stream (DESIGN.md §15), so the incremental, event-driven and
+//! Every engine builds its `det` section in the one epoch loop of its
+//! simulator (DESIGN.md §15), so the incremental, scratch, protocol and
 //! region-sharded dynamic engines — and the mobility engines — must
 //! produce the same `det` bytes for the same configuration; only the
 //! `aux` section (wall times, cache deltas, shard loads) may differ.
@@ -54,7 +54,6 @@ fn record_dynamic_with(
     let sim = DynamicSimulator::new(config).with_observer(recorder.clone());
     match engine {
         "incremental" => sim.run().unwrap(),
-        "event" => sim.run_event().unwrap(),
         "sharded" => sim.run_sharded_n(shards).unwrap(),
         "scratch" => sim.run_scratch().unwrap(),
         // Fault-free message-passing protocol: per-round flight records go
@@ -94,13 +93,6 @@ fn dynamic_det_projection_is_identical_across_engines_and_shard_counts() {
         "{reference}"
     );
     assert_eq!(reference.lines().count(), dyn_config().epochs);
-    // The event engine emits records for idle epochs too, so the stream
-    // is line-for-line comparable with the fixed-epoch engines.
-    assert_eq!(
-        det_projection(&record_dynamic("event", 0, 1)),
-        reference,
-        "event engine det stream diverged"
-    );
     assert_eq!(
         det_projection(&record_dynamic("scratch", 0, 1)),
         reference,
