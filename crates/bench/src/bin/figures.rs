@@ -28,13 +28,7 @@
 //! against the monolithic path — outcome equality asserted first, then a
 //! component-count/size histogram and a solve-thread speedup curve on the
 //! sparse metro grid, written to `BENCH_solve.json` and gated on hosts
-//! with enough hardware threads. The `bench_delta` job benchmarks the
-//! cross-epoch delta solver (`--solve delta`) on two low-churn
-//! workloads — the 90%-stationary mobility loop on an island grid and a
-//! metro-scale persistent population with 1% slot churn per epoch —
-//! asserting bit-identical outcomes before timing, writing
-//! `BENCH_delta.json`, and failing when either speedup falls below
-//! `DMRA_DELTA_SPEEDUP_MIN`. The `obs_overhead` job measures the
+//! with enough hardware threads. The `obs_overhead` job measures the
 //! telemetry-enabled vs -disabled dynamic simulation and writes
 //! `BENCH_obs_overhead.json`, failing when the overhead exceeds its
 //! bound.
@@ -115,10 +109,6 @@ fn main() {
         }
         if job == "bench_proto" {
             bench_proto_mode();
-            continue;
-        }
-        if job == "bench_delta" {
-            bench_delta_mode();
             continue;
         }
         if job == "obs_overhead" {
@@ -1197,322 +1187,6 @@ fn bench_solve_mode() {
             "component solve speedup {speedup_at_four:.2}x at 4 threads \
              fell below the {min_speedup}x bound"
         );
-        std::process::exit(1);
-    }
-}
-
-/// Benchmarks the cross-epoch delta solver (`--solve delta`) on two
-/// low-churn workloads and writes `BENCH_delta.json`.
-///
-/// 1. **90%-stationary mobility loop**: a 5×5 grid of disjoint coverage
-///    islands (inter-site distance 1500 m, radius 300 m); 90% of the
-///    population is pinned, so most islands see no churn most epochs.
-///    Delta-mode incremental run vs the monolithic incremental run and
-///    the rebuild-from-scratch epoch loop; outcomes asserted
-///    bit-identical first, then the speedup vs the scratch epoch loop
-///    is gated on `DMRA_DELTA_SPEEDUP_MIN` (default 2.0), matching the
-///    `bench_event` gate convention.
-/// 2. **Metro low-rate dynamic run**: a 40×40-site metro grid of disjoint micro-cells with a
-///    persistent 4000-UE population where 1% of slots churn per epoch
-///    (a departure immediately backfilled by a fresh arrival in the
-///    same slot, the steady-state shape of a low-rate dynamic system).
-///    Most epochs dirty well under 10% of components, so the delta
-///    session replays almost everything; the speedup vs the scratch
-///    epoch loop (fresh residual build + monolithic solve per epoch)
-///    is gated on the same bound, and the isolated comparison against
-///    monolithic sessions on the *same* row-cached context — wall and
-///    allocate phase — is reported alongside.
-///
-/// Both sections report the delta hit/miss/replay counters from one
-/// instrumented pass, so the JSON records *why* the speedup happened.
-fn bench_delta_mode() {
-    use dmra_core::SolveMode;
-    use dmra_sim::mobility::{MobilityConfig, MobilityPolicy, MobilitySimulator};
-    use dmra_types::UeSpec;
-
-    let min_speedup: f64 = std::env::var("DMRA_DELTA_SPEEDUP_MIN")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2.0);
-    let counters = [
-        "core.delta_solves",
-        "core.delta_component_hits",
-        "core.delta_component_misses",
-        "core.delta_replayed_ues",
-    ]
-    .map(|name| dmra_obs::global().counter(name));
-    let snapshot = |handles: &[std::sync::Arc<dmra_obs::Counter>; 4]| {
-        [
-            handles[0].get(),
-            handles[1].get(),
-            handles[2].get(),
-            handles[3].get(),
-        ]
-    };
-
-    // -- Workload 1: the 90%-stationary mobility loop. --
-    let mut islands = ScenarioConfig::paper_defaults()
-        .with_ues(4000)
-        .with_seed(13);
-    islands.bs_placement = BsPlacement::RegularGrid {
-        rows: 5,
-        cols: 5,
-        isd: Meters::new(1500.0),
-    };
-    islands.region = Rect::square(Meters::new(7500.0));
-    islands.coverage = dmra_core::CoverageModel::FixedRadius(Meters::new(300.0));
-    islands.validate().expect("island scenario is valid");
-    let mob_cfg = MobilityConfig {
-        scenario: islands,
-        speed_mps: (5.0, 15.0),
-        epoch_seconds: 10.0,
-        epochs: 400,
-        seed: 13,
-        policy: MobilityPolicy::FullReallocation,
-        stationary_fraction: 0.9,
-    };
-    let delta_sim = MobilitySimulator::new(mob_cfg.clone())
-        .with_allocator(Box::new(Dmra::default().with_solve_mode(SolveMode::Delta)));
-    let mono_sim = MobilitySimulator::new(mob_cfg).with_allocator(Box::new(
-        Dmra::default().with_solve_mode(SolveMode::Monolithic),
-    ));
-    let delta_out = delta_sim.run().expect("delta mobility run");
-    assert_eq!(
-        delta_out,
-        mono_sim.run().expect("monolithic mobility run"),
-        "delta mobility outcome diverged from monolithic"
-    );
-    assert_eq!(
-        delta_out,
-        mono_sim.run_scratch().expect("scratch mobility run"),
-        "delta mobility outcome diverged from the scratch epoch loop"
-    );
-    let before = snapshot(&counters);
-    dmra_obs::set_enabled(true);
-    delta_sim.run().expect("instrumented delta mobility run");
-    dmra_obs::set_enabled(false);
-    let after = snapshot(&counters);
-    let [mob_solves, mob_hits, mob_misses, mob_replayed] =
-        [0, 1, 2, 3].map(|i| after[i] - before[i]);
-    let mob_hit_rate = mob_hits as f64 / (mob_hits + mob_misses).max(1) as f64;
-    let delta_secs = best_of(3, || delta_sim.run().expect("delta mobility run"));
-    let incremental_secs = best_of(3, || mono_sim.run().expect("monolithic mobility run"));
-    let scratch_secs = best_of(3, || mono_sim.run_scratch().expect("scratch mobility run"));
-    let mob_speedup_vs_scratch = scratch_secs / delta_secs;
-    let mob_speedup_vs_incremental = incremental_secs / delta_secs;
-    let mob_gate_pass = mob_speedup_vs_scratch >= min_speedup;
-    obs_info!(
-        "mobility islands, 400 epochs, 90% stationary: delta {delta_secs:.4} s, \
-         incremental {incremental_secs:.4} s, scratch {scratch_secs:.4} s \
-         ({mob_speedup_vs_scratch:.1}x vs epoch loop, \
-         {mob_speedup_vs_incremental:.2}x vs incremental; \
-         hit rate {:.0}%, {mob_replayed} UEs replayed)",
-        mob_hit_rate * 100.0
-    );
-
-    // -- Workload 2: the metro low-rate dynamic run. --
-    let mut metro = ScenarioConfig::paper_defaults().with_ues(4000).with_seed(7);
-    metro.bss_per_sp = 320;
-    metro.bs_placement = BsPlacement::RegularGrid {
-        rows: 40,
-        cols: 40,
-        isd: Meters::new(300.0),
-    };
-    metro.region = Rect::square(Meters::new(12_000.0));
-    metro.uplink_bandwidth = Hertz::from_mhz(40.0);
-    // Sub-percolation overlap: at radius 200 m on a 300 m pitch, the
-    // lens between adjacent sites is small enough that the shared-UE
-    // graph stays subcritical — the instance decomposes into many small
-    // multi-BS clusters instead of one giant component, so low churn
-    // really does leave most components clean.
-    metro.coverage = dmra_core::CoverageModel::FixedRadius(Meters::new(200.0));
-    // Capacity of ~one task per BS: rejection cascades across the
-    // overlapping sites give the deferred-acceptance matching real
-    // rounds, the work clean-component replay elides.
-    metro.cru_budget_range = (4, 6);
-    metro.validate().expect("metro delta scenario is valid");
-    let deployment = metro
-        .clone()
-        .with_ues(0)
-        .build()
-        .expect("metro deployment builds");
-    let full_cru: Vec<Vec<Cru>> = deployment
-        .bss()
-        .iter()
-        .map(|b| b.cru_budget.clone())
-        .collect();
-    let full_rrb: Vec<RrbCount> = deployment.bss().iter().map(|b| b.rrb_budget).collect();
-    let initial = metro
-        .build_with_threads(Threads::Auto)
-        .expect("metro population builds");
-    let donor = metro
-        .clone()
-        .with_seed(8)
-        .build_with_threads(Threads::Auto)
-        .expect("metro donor population builds");
-    let (epochs, churn_per_epoch) = (30usize, 40usize);
-    let mut batch: Vec<UeSpec> = initial.ues().to_vec();
-    let donor_specs: Vec<UeSpec> = donor.ues().to_vec();
-    // Deterministic churn trace (LCG, fixed seed): each event replaces a
-    // slot's UE with a donor draw, keeping the slot's UE id — a
-    // departure backfilled by an arrival.
-    let mut x: u64 = 0x243F_6A88_85A3_08D3;
-    let mut lcg = move || {
-        x = x
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        (x >> 33) as usize
-    };
-    let mut batches: Vec<Vec<UeSpec>> = Vec::with_capacity(epochs);
-    for _ in 0..epochs {
-        for _ in 0..churn_per_epoch {
-            let slot = lcg() % batch.len();
-            let pick = lcg() % donor_specs.len();
-            let id = batch[slot].id;
-            batch[slot] = donor_specs[pick];
-            batch[slot].id = id;
-        }
-        batches.push(batch.clone());
-    }
-
-    // Equality pass (instrumented): every epoch's delta allocation must
-    // equal a fresh monolithic solve of the identical instance.
-    let before = snapshot(&counters);
-    dmra_obs::set_enabled(true);
-    {
-        let delta_alloc = Dmra::default().with_solve_mode(SolveMode::Delta);
-        let mut session = delta_alloc.session();
-        let mono = Dmra::default().with_solve_mode(SolveMode::Monolithic);
-        let mut ctx = DeploymentContext::new(&deployment).with_row_cache();
-        for (epoch, b) in batches.iter().enumerate() {
-            let instance = ctx
-                .epoch_instance(&full_cru, &full_rrb, b.clone())
-                .expect("metro epoch instance builds");
-            assert_eq!(
-                session.allocate(instance),
-                mono.allocate(instance),
-                "metro delta allocation diverged at epoch {epoch}"
-            );
-        }
-    }
-    dmra_obs::set_enabled(false);
-    let after = snapshot(&counters);
-    let [metro_solves, metro_hits, metro_misses, metro_replayed] =
-        [0, 1, 2, 3].map(|i| after[i] - before[i]);
-    let metro_hit_rate = metro_hits as f64 / (metro_hits + metro_misses).max(1) as f64;
-    let dirty_component_fraction = 1.0 - metro_hit_rate;
-
-    // Three loops over the identical batch trace: the delta path
-    // (row-cached context + delta sessions), the same context with
-    // monolithic sessions (isolating the solver swap), and the scratch
-    // epoch loop (fresh residual build + monolithic solve per epoch —
-    // the baseline a low-rate dynamic system without the online engine
-    // pays, and the same baseline the `bench_event` gate uses). The
-    // gate compares delta against the scratch loop; the isolated
-    // allocate-phase numbers are reported alongside, never hidden —
-    // at this scale the matching itself is near-linear, so most of the
-    // end-to-end win comes from replay skipping the rebuild + rounds
-    // together.
-    let run_loop = |mode: SolveMode| {
-        let alloc = Dmra::default().with_solve_mode(mode);
-        let mut session = alloc.session();
-        let mut ctx = DeploymentContext::new(&deployment).with_row_cache();
-        let mut digest_fold = 0u64;
-        let mut solve_secs = 0.0f64;
-        for b in &batches {
-            let instance = ctx
-                .epoch_instance(&full_cru, &full_rrb, b.clone())
-                .expect("metro epoch instance builds");
-            let (allocation, secs) = timed(|| session.allocate(instance));
-            solve_secs += secs;
-            digest_fold ^= allocation.digest();
-        }
-        (digest_fold, solve_secs)
-    };
-    let scratch_loop = || {
-        let mono = Dmra::default().with_solve_mode(SolveMode::Monolithic);
-        let mut digest_fold = 0u64;
-        for b in &batches {
-            let instance = deployment
-                .residual(&full_cru, &full_rrb, b.clone())
-                .expect("metro residual instance builds");
-            digest_fold ^= mono.allocate(&instance).digest();
-        }
-        digest_fold
-    };
-    let (delta_fold, _) = run_loop(SolveMode::Delta);
-    assert_eq!(
-        delta_fold,
-        run_loop(SolveMode::Monolithic).0,
-        "metro digest fold diverged between delta and monolithic loops"
-    );
-    assert_eq!(
-        delta_fold,
-        scratch_loop(),
-        "metro digest fold diverged between delta and scratch loops"
-    );
-    let mut metro_delta_secs = f64::INFINITY;
-    let mut metro_delta_solve_secs = f64::INFINITY;
-    let mut metro_mono_secs = f64::INFINITY;
-    let mut metro_mono_solve_secs = f64::INFINITY;
-    for _ in 0..3 {
-        let ((_, solve), wall) = timed(|| run_loop(SolveMode::Delta));
-        metro_delta_secs = metro_delta_secs.min(wall);
-        metro_delta_solve_secs = metro_delta_solve_secs.min(solve);
-        let ((_, solve), wall) = timed(|| run_loop(SolveMode::Monolithic));
-        metro_mono_secs = metro_mono_secs.min(wall);
-        metro_mono_solve_secs = metro_mono_solve_secs.min(solve);
-    }
-    let metro_scratch_secs = best_of(3, scratch_loop);
-    let metro_speedup = metro_scratch_secs / metro_delta_secs;
-    let metro_allocate_speedup = metro_mono_solve_secs / metro_delta_solve_secs;
-    let metro_wall_vs_mono = metro_mono_secs / metro_delta_secs;
-    let metro_gate_pass = metro_speedup >= min_speedup;
-    obs_info!(
-        "metro churn loop, {epochs} epochs, {churn_per_epoch} churned slots/epoch: \
-         delta {metro_delta_secs:.4} s, cached monolithic {metro_mono_secs:.4} s, \
-         scratch {metro_scratch_secs:.4} s ({metro_speedup:.1}x vs epoch loop, \
-         {metro_wall_vs_mono:.2}x vs cached monolithic, allocate phase \
-         {metro_allocate_speedup:.2}x); {:.1}% of components dirty, \
-         {metro_replayed} UEs replayed",
-        dirty_component_fraction * 100.0
-    );
-
-    let json = format!(
-        "{{\n  \"title\": \"cross-epoch delta solver vs monolithic (island \
-         mobility loop and 40x40-site metro churn loop)\",\n  \
-         \"min_speedup\": {min_speedup},\n  \
-         \"mobility_islands\": {{\n    \
-         \"epochs\": 400, \"n_ues\": 4000, \"stationary_fraction\": 0.9,\n    \
-         \"delta_secs\": {delta_secs:.4}, \
-         \"incremental_secs\": {incremental_secs:.4}, \
-         \"scratch_secs\": {scratch_secs:.4},\n    \
-         \"speedup_vs_epoch_loop\": {mob_speedup_vs_scratch:.2}, \
-         \"speedup_vs_incremental\": {mob_speedup_vs_incremental:.2},\n    \
-         \"delta_solves\": {mob_solves}, \"component_hits\": {mob_hits}, \
-         \"component_misses\": {mob_misses}, \"replayed_ues\": {mob_replayed}, \
-         \"hit_rate\": {mob_hit_rate:.3},\n    \
-         \"gate_pass\": {mob_gate_pass}, \"identical_outcome\": true\n  }},\n  \
-         \"metro_churn\": {{\n    \
-         \"epochs\": {epochs}, \"n_ues\": 4000, \
-         \"churned_slots_per_epoch\": {churn_per_epoch},\n    \
-         \"delta_secs\": {metro_delta_secs:.4}, \
-         \"cached_monolithic_secs\": {metro_mono_secs:.4}, \
-         \"scratch_secs\": {metro_scratch_secs:.4},\n    \
-         \"speedup_vs_epoch_loop\": {metro_speedup:.2}, \
-         \"speedup_vs_cached_monolithic\": {metro_wall_vs_mono:.2},\n    \
-         \"delta_allocate_secs\": {metro_delta_solve_secs:.4}, \
-         \"monolithic_allocate_secs\": {metro_mono_solve_secs:.4}, \
-         \"allocate_speedup\": {metro_allocate_speedup:.2},\n    \
-         \"delta_solves\": {metro_solves}, \"component_hits\": {metro_hits}, \
-         \"component_misses\": {metro_misses}, \"replayed_ues\": {metro_replayed}, \
-         \"dirty_component_fraction\": {dirty_component_fraction:.3},\n    \
-         \"gate_pass\": {metro_gate_pass}, \"identical_outcome\": true\n  }}\n}}\n"
-    );
-    fs::write("BENCH_delta.json", &json).expect("can write BENCH_delta.json");
-    obs_info!("wrote BENCH_delta.json");
-    if !mob_gate_pass || !metro_gate_pass {
-        obs_error!("delta solver speedup fell below the {min_speedup}x bound");
         std::process::exit(1);
     }
 }

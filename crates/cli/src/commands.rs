@@ -90,13 +90,11 @@ pub fn help_text() -> String {
      \t                 (default exact = bit-identical to the scalar\n\
      \t                 evaluator; approx trades ~1e-10 relative error\n\
      \t                 for polynomial transcendentals)\n\
-     \t--solve M        monolithic | components | delta: DMRA solve\n\
-     \t                 execution (default monolithic; components\n\
-     \t                 decomposes each instance into candidate-graph\n\
-     \t                 components and solves them in parallel; delta\n\
-     \t                 additionally replays cached component matchings\n\
-     \t                 across epochs under low churn — identical\n\
-     \t                 results either way)\n"
+     \t--solve M        monolithic | components: DMRA solve execution\n\
+     \t                 (default monolithic; components decomposes each\n\
+     \t                 instance into candidate-graph components and\n\
+     \t                 solves them in parallel — identical results\n\
+     \t                 either way)\n"
         .to_owned()
 }
 
@@ -228,18 +226,16 @@ fn configure_batch_mode(parsed: &ParsedArgs) -> Result<(), ArgError> {
 
 /// Applies `--solve M` to the process-global default [`SolveMode`], picked
 /// up by every DMRA solve in the command — all engines and the sharded
-/// runtime included. `components` and `delta` only change wall-clock
-/// time: outcomes are bit-identical to `monolithic` (instances whose
-/// physics forbid splitting quietly stay monolithic, and `delta` without
-/// cross-epoch churn metadata degrades to `components`).
+/// runtime included. `components` only changes wall-clock time:
+/// outcomes are bit-identical to `monolithic` (instances whose physics
+/// forbid splitting quietly stay monolithic).
 fn configure_solve_mode(parsed: &ParsedArgs) -> Result<(), ArgError> {
     match parsed.get("solve") {
         None | Some("monolithic") => set_solve_mode_default(SolveMode::Monolithic),
         Some("components") => set_solve_mode_default(SolveMode::Components),
-        Some("delta") => set_solve_mode_default(SolveMode::Delta),
         Some(other) => {
             return Err(ArgError(format!(
-                "--solve must be 'monolithic', 'components' or 'delta', got '{other}'"
+                "--solve must be 'monolithic' or 'components', got '{other}'"
             )))
         }
     }
@@ -296,6 +292,17 @@ fn scenario_from(parsed: &ParsedArgs) -> Result<ScenarioConfig, ArgError> {
     Ok(cfg)
 }
 
+/// Parses `--rho X` (Eq. (17)'s weight, default 100). A NaN or infinite
+/// weight would silently reorder every UE's preference list, so it is
+/// rejected rather than passed to the matcher.
+fn rho_from(parsed: &ParsedArgs) -> Result<f64, ArgError> {
+    let rho = parsed.get_or("rho", 100.0f64)?;
+    if !rho.is_finite() {
+        return Err(ArgError(format!("--rho must be finite, got {rho}")));
+    }
+    Ok(rho)
+}
+
 /// Parses `--threads N`: absent or `0` means [`Threads::Auto`] (which in
 /// turn honours the `DMRA_THREADS` environment variable).
 fn threads_from(parsed: &ParsedArgs) -> Result<Threads, ArgError> {
@@ -348,7 +355,7 @@ fn cmd_run(parsed: &ParsedArgs) -> Result<String, ArgError> {
         "solve",
     ])?;
     let seed = parsed.get_or("seed", 42u64)?;
-    let rho = parsed.get_or("rho", 100.0f64)?;
+    let rho = rho_from(parsed)?;
     let instance = scenario_from(parsed)?
         .build_with_threads(threads_from(parsed)?)
         .map_err(|e| ArgError(e.to_string()))?;
@@ -490,7 +497,7 @@ fn cmd_protocol(parsed: &ParsedArgs) -> Result<String, ArgError> {
     ])?;
     let drop_prob = drop_probability(parsed)?;
     let seed = parsed.get_or("seed", 42u64)?;
-    let rho = parsed.get_or("rho", 100.0f64)?;
+    let rho = rho_from(parsed)?;
     let mut cfg = scenario_from(parsed)?;
     cfg.n_ues = parsed.get_or("ues", 400usize)?;
     let instance = cfg.build().map_err(|e| ArgError(e.to_string()))?;
@@ -1117,16 +1124,13 @@ mod tests {
         // outcome — only which execution strategy computed it.
         let mono = run(&["run", "--ues", "80", "--solve", "monolithic"]).unwrap();
         let comp = run(&["run", "--ues", "80", "--solve", "components"]).unwrap();
-        let delta = run(&["run", "--ues", "80", "--solve", "delta"]).unwrap();
         let default = run(&["run", "--ues", "80"]).unwrap();
         assert_eq!(mono, comp);
-        assert_eq!(mono, delta);
         assert_eq!(mono, default);
 
         let args = ["--rate", "10", "--epochs", "8"];
         let d_mono = run(&[&["dynamic"], &args[..]].concat()).unwrap();
         let d_comp = run(&[&["dynamic", "--solve", "components"], &args[..]].concat()).unwrap();
-        let d_delta = run(&[&["dynamic", "--solve", "delta"], &args[..]].concat()).unwrap();
         let d_shard = run(&[
             &["dynamic", "--solve", "components", "--shards", "4"],
             &args[..],
@@ -1134,25 +1138,62 @@ mod tests {
         .concat())
         .unwrap();
         assert_eq!(d_mono, d_comp);
-        assert_eq!(d_mono, d_delta);
         assert_eq!(d_mono, d_shard);
 
         let margs = ["--ues", "60", "--speed", "12", "--epochs", "5"];
         let m_mono = run(&[&["mobility"], &margs[..]].concat()).unwrap();
         let m_comp = run(&[&["mobility", "--solve", "components"], &margs[..]].concat()).unwrap();
-        let m_delta = run(&[&["mobility", "--solve", "delta"], &margs[..]].concat()).unwrap();
-        let m_delta_shard = run(&[
-            &["mobility", "--solve", "delta", "--shards", "4"],
+        let m_shard = run(&[
+            &["mobility", "--solve", "components", "--shards", "4"],
             &margs[..],
         ]
         .concat())
         .unwrap();
         assert_eq!(m_mono, m_comp);
-        assert_eq!(m_mono, m_delta);
-        assert_eq!(m_mono, m_delta_shard);
+        assert_eq!(m_mono, m_shard);
 
         let err = run(&["run", "--solve", "psychic"]).unwrap_err();
         assert!(err.to_string().contains("--solve"));
+    }
+
+    #[test]
+    fn delta_solve_mode_is_rejected_naming_the_valid_modes() {
+        let err = run(&["run", "--ues", "20", "--solve", "delta"])
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("--solve"), "{err}");
+        assert!(err.contains("'monolithic'"), "{err}");
+        assert!(err.contains("'components'"), "{err}");
+        assert!(err.contains("'delta'"), "echoes the rejected value: {err}");
+    }
+
+    #[test]
+    fn non_finite_pricing_and_rho_are_rejected_naming_the_field() {
+        for (args, field) in [
+            (
+                &["run", "--ues", "50", "--algo", "dmra", "--iota", "nan"][..],
+                "ι",
+            ),
+            (
+                &["run", "--ues", "50", "--algo", "dmra", "--iota", "inf"][..],
+                "ι",
+            ),
+            (
+                &["run", "--ues", "50", "--algo", "dmra", "--rho", "nan"][..],
+                "--rho",
+            ),
+            (
+                &["run", "--ues", "50", "--algo", "dmra", "--rho", "inf"][..],
+                "--rho",
+            ),
+            (&["protocol", "--ues", "50", "--rho", "nan"][..], "--rho"),
+            (&["protocol", "--ues", "50", "--rho", "inf"][..], "--rho"),
+        ] {
+            let err = run(args)
+                .expect_err("non-finite value accepted")
+                .to_string();
+            assert!(err.contains(field), "{args:?}: {err}");
+        }
     }
 
     #[test]

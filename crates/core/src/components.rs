@@ -11,7 +11,9 @@
 //! candidate rows; [`crate::Dmra`] solves the components independently
 //! (in parallel when it helps) and merges the sub-outcomes back in global
 //! UE order, bit-identical to the monolithic solve (DESIGN.md §14 spells
-//! out the argument).
+//! out the argument). Every solve decomposes its instance afresh and
+//! carries nothing into the next epoch: replaying unchanged components
+//! measured slower than re-solving them (DESIGN.md §17).
 //!
 //! Splitting is only sound when candidate links are the *whole* coupling
 //! between agents. The load-proportional interference model couples every
@@ -22,7 +24,7 @@
 use crate::instance::ProblemInstance;
 use dmra_radio::InterferenceModel;
 use dmra_types::UeId;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// How [`crate::Dmra`] executes a solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -37,51 +39,35 @@ pub enum SolveMode {
     /// only wall-clock time changes. Opt in via `--solve components` or
     /// [`set_solve_mode_default`].
     Components,
-    /// [`SolveMode::Components`] plus a cross-epoch per-component result
-    /// cache: a session-held solver replays the cached matching of every
-    /// component whose member rows and member-BS budgets are bit-unchanged
-    /// since its last solve (as witnessed by the [`DeltaInfo`] the online
-    /// row cache attaches to the instance), and re-matches only the dirty
-    /// components. Bit-identical to both other modes (DESIGN.md §17);
-    /// instances without delta metadata — or solves outside a session —
-    /// degrade to exactly the [`SolveMode::Components`] execution. Opt in
-    /// via `--solve delta`.
-    ///
-    /// [`DeltaInfo`]: crate::DeltaInfo
-    Delta,
 }
 
 /// Process-wide default consumed by [`crate::Dmra`] solves that were not
-/// given an explicit mode. A plain relaxed atomic: the value is set once
-/// at CLI startup, before any solver runs.
-static SOLVE_MODE: AtomicU8 = AtomicU8::new(0);
+/// given an explicit mode (`false` = [`SolveMode::Monolithic`]). A plain
+/// relaxed atomic: the flag is set once at CLI startup, before any solver
+/// runs.
+static SOLVE_COMPONENTS: AtomicBool = AtomicBool::new(false);
 
 /// Sets the process-wide default [`SolveMode`] picked up by every
 /// subsequently run [`crate::Dmra`] solve without an explicit mode.
 /// Intended for CLI startup (`--solve`); library code should use
 /// [`crate::Dmra::with_solve_mode`] instead.
 pub fn set_solve_mode_default(mode: SolveMode) {
-    let raw = match mode {
-        SolveMode::Monolithic => 0,
-        SolveMode::Components => 1,
-        SolveMode::Delta => 2,
-    };
-    SOLVE_MODE.store(raw, Ordering::Relaxed);
+    SOLVE_COMPONENTS.store(mode == SolveMode::Components, Ordering::Relaxed);
 }
 
 /// The current process-wide default [`SolveMode`].
 #[must_use]
 pub fn solve_mode_default() -> SolveMode {
-    match SOLVE_MODE.load(Ordering::Relaxed) {
-        1 => SolveMode::Components,
-        2 => SolveMode::Delta,
-        _ => SolveMode::Monolithic,
+    if SOLVE_COMPONENTS.load(Ordering::Relaxed) {
+        SolveMode::Components
+    } else {
+        SolveMode::Monolithic
     }
 }
 
 /// One connected component of the candidate-link graph: a set of UEs and
 /// the BSs they can reach, closed under "shares a candidate link".
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Component {
     /// Raw UE indices, ascending — so local UE order preserves the global
     /// tie-break order inside the component.
@@ -92,7 +78,7 @@ pub struct Component {
 }
 
 /// The full partition produced by [`decompose`].
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Decomposition {
     /// Components ordered by their smallest UE index (ascending), which
     /// makes the merge order — and therefore the merged outcome —
@@ -143,108 +129,68 @@ pub fn splittable(instance: &ProblemInstance) -> bool {
 /// the components in deterministic order.
 #[must_use]
 pub fn decompose(instance: &ProblemInstance) -> Decomposition {
-    let mut decomposer = Decomposer::default();
-    decomposer.run(instance);
-    decomposer.decomp
-}
-
-/// A [`decompose`] whose scratch survives across calls: the union-find
-/// tables, the root map and the emitted component lists are all reused,
-/// so the per-epoch decomposition in the delta solver allocates nothing
-/// in steady state. Output is identical to [`decompose`] for every
-/// instance — the reuse test below pins that.
-#[derive(Debug, Default)]
-pub struct Decomposer {
-    uf: UnionFind,
-    component_of_root: Vec<usize>,
-    decomp: Decomposition,
-    /// Retired `Component` allocations, recycled on the next run.
-    spare: Vec<Component>,
-}
-
-impl Decomposer {
-    /// Decomposes `instance`, reusing all internal scratch. The returned
-    /// reference is valid until the next call.
-    pub fn run(&mut self, instance: &ProblemInstance) -> &Decomposition {
-        let n_ues = instance.n_ues();
-        let n_bss = instance.n_bss();
-        // Nodes 0..n_ues are UEs; n_ues..n_ues+n_bss are BSs.
-        self.uf.reset(n_ues + n_bss);
-        self.decomp.cloud_only.clear();
-        for u in 0..n_ues {
-            let row = instance.candidates(UeId::new(u as u32));
-            if row.is_empty() {
-                self.decomp.cloud_only.push(u as u32);
-                continue;
-            }
-            for link in row {
-                self.uf.union(u, n_ues + link.bs.as_usize());
-            }
+    let n_ues = instance.n_ues();
+    let n_bss = instance.n_bss();
+    // Nodes 0..n_ues are UEs; n_ues..n_ues+n_bss are BSs.
+    let mut uf = UnionFind::new(n_ues + n_bss);
+    let mut cloud_only = Vec::new();
+    for u in 0..n_ues {
+        let row = instance.candidates(UeId::new(u as u32));
+        if row.is_empty() {
+            cloud_only.push(u as u32);
+            continue;
         }
-        // Emit components ordered by smallest member UE; membership lists
-        // come out ascending because both sweeps run in ascending index
-        // order.
-        self.component_of_root.clear();
-        self.component_of_root.resize(n_ues + n_bss, usize::MAX);
-        self.spare.append(&mut self.decomp.components);
-        for comp in &mut self.spare {
-            comp.ues.clear();
-            comp.bss.clear();
+        for link in row {
+            uf.union(u, n_ues + link.bs.as_usize());
         }
-        let components = &mut self.decomp.components;
-        for u in 0..n_ues {
-            if instance.candidates(UeId::new(u as u32)).is_empty() {
-                continue;
-            }
-            let root = self.uf.find(u);
-            let c = if self.component_of_root[root] == usize::MAX {
-                self.component_of_root[root] = components.len();
-                components.push(self.spare.pop().unwrap_or_default());
-                components.len() - 1
-            } else {
-                self.component_of_root[root]
-            };
-            components[c].ues.push(u as u32);
-        }
-        for b in 0..n_bss {
-            let c = self.component_of_root[self.uf.find(n_ues + b)];
-            if c != usize::MAX {
-                // BSs out of everyone's reach (no candidate link at all)
-                // stay out of every component; no solve will touch them.
-                components[c].bss.push(b as u32);
-            }
-        }
-        &self.decomp
     }
-
-    /// The decomposition produced by the last [`Decomposer::run`].
-    #[must_use]
-    pub fn decomposition(&self) -> &Decomposition {
-        &self.decomp
+    // Emit components ordered by smallest member UE; membership lists come
+    // out ascending because both sweeps run in ascending index order.
+    let mut component_of_root = vec![usize::MAX; n_ues + n_bss];
+    let mut components: Vec<Component> = Vec::new();
+    for u in 0..n_ues {
+        if instance.candidates(UeId::new(u as u32)).is_empty() {
+            continue;
+        }
+        let root = uf.find(u);
+        let c = if component_of_root[root] == usize::MAX {
+            component_of_root[root] = components.len();
+            components.push(Component {
+                ues: Vec::new(),
+                bss: Vec::new(),
+            });
+            components.len() - 1
+        } else {
+            component_of_root[root]
+        };
+        components[c].ues.push(u as u32);
+    }
+    for b in 0..n_bss {
+        let c = component_of_root[uf.find(n_ues + b)];
+        if c != usize::MAX {
+            // BSs out of everyone's reach (no candidate link at all) stay
+            // out of every component; no solve will touch them.
+            components[c].bss.push(b as u32);
+        }
+    }
+    Decomposition {
+        components,
+        cloud_only,
     }
 }
 
 /// Array-based disjoint-set forest.
-#[derive(Debug, Default)]
 struct UnionFind {
     parent: Vec<u32>,
     size: Vec<u32>,
 }
 
 impl UnionFind {
-    #[cfg(test)]
     fn new(n: usize) -> Self {
-        let mut uf = Self::default();
-        uf.reset(n);
-        uf
-    }
-
-    /// Re-initializes the forest to `n` singletons, reusing the tables.
-    fn reset(&mut self, n: usize) {
-        self.parent.clear();
-        self.parent.extend(0..n as u32);
-        self.size.clear();
-        self.size.resize(n, 1);
+        Self {
+            parent: (0..n as u32).collect(),
+            size: vec![1; n],
+        }
     }
 
     fn find(&mut self, mut x: usize) -> usize {
@@ -313,38 +259,11 @@ mod tests {
     }
 
     #[test]
-    fn decomposer_reuse_matches_fresh_decompose() {
-        // One Decomposer dragged across instances of different shapes must
-        // reproduce the from-scratch decomposition every time, including
-        // after shrinking (stale scratch larger than the instance).
-        let big = two_sp_instance();
-        let mut small = two_sp_instance();
-        // A one-UE residual re-build keeps the deployment but shrinks the
-        // UE side; decompose only reads rows, so reusing `big` twice with
-        // `small` in between exercises grow → shrink → grow.
-        let rem_cru: Vec<Vec<dmra_types::Cru>> =
-            big.bss().iter().map(|b| b.cru_budget.clone()).collect();
-        let rem_rrb: Vec<dmra_types::RrbCount> = big.bss().iter().map(|b| b.rrb_budget).collect();
-        small = small
-            .residual(&rem_cru, &rem_rrb, vec![big.ues()[0]])
-            .unwrap();
-        let mut d = Decomposer::default();
-        for inst in [&big, &small, &big, &small] {
-            assert_eq!(d.run(inst), &decompose(inst));
-            assert_eq!(d.decomposition(), &decompose(inst));
-        }
-    }
-
-    #[test]
     fn solve_mode_default_roundtrips_all_modes() {
-        // The raw-atomic encoding must survive a set/get round trip for
+        // The atomic-flag encoding must survive a set/get round trip for
         // every variant. Restore monolithic afterwards: the default is
         // process-global state shared with other tests.
-        for mode in [
-            SolveMode::Components,
-            SolveMode::Delta,
-            SolveMode::Monolithic,
-        ] {
+        for mode in [SolveMode::Components, SolveMode::Monolithic] {
             set_solve_mode_default(mode);
             assert_eq!(solve_mode_default(), mode);
         }

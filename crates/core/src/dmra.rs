@@ -27,36 +27,21 @@
 
 use crate::allocation::Allocation;
 use crate::allocator::{Allocator, AllocatorSession};
-use crate::components::{self, decompose, Component, Decomposer, Decomposition, SolveMode};
+use crate::components::{self, decompose, Component, Decomposition, SolveMode};
 use crate::instance::{CandidateLink, ProblemInstance};
 use dmra_par::{par_map_indexed_scratch, Threads};
 use dmra_types::{BsId, Cru, Error, Result, RrbCount, UeId};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::OnceLock;
+use std::collections::BTreeMap;
 
-/// Default for [`solve_min_fanout_ues`]: component sets totalling fewer
-/// UEs than this solve serially on the caller's workspace instead of
-/// fanning out over workers. At dynamic-regime arrival-batch sizes the
-/// worker orchestration costs more than the matching itself (the
-/// `BENCH_solve.json` metro curve sat at 0.99× at 4 threads before this
-/// guard existed).
-pub(crate) const SOLVE_MIN_FANOUT_UES_DEFAULT: usize = 512;
-
-/// The minimum total-UE count at which a component solve fans out over
-/// worker threads, read once from `DMRA_SOLVE_MIN_FANOUT_UES` (falling
-/// back to [`SOLVE_MIN_FANOUT_UES_DEFAULT`] when unset or unparsable).
-/// Purely a performance knob: both paths are bit-identical.
-fn solve_min_fanout_ues() -> usize {
-    static CELL: OnceLock<usize> = OnceLock::new();
-    *CELL.get_or_init(|| {
-        std::env::var("DMRA_SOLVE_MIN_FANOUT_UES")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(SOLVE_MIN_FANOUT_UES_DEFAULT)
-    })
-}
+/// Component sets totalling fewer UEs than this solve serially on the
+/// caller's workspace instead of fanning out over workers. At
+/// dynamic-regime arrival-batch sizes the worker orchestration costs more
+/// than the matching itself (the `BENCH_solve.json` metro curve sat at
+/// 0.99× at 4 threads before this guard existed). Purely a performance
+/// constant: both paths are bit-identical.
+const SOLVE_MIN_FANOUT_UES: usize = 512;
 
 /// Tunables of the DMRA matcher.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -227,9 +212,6 @@ impl Dmra {
         instance: &ProblemInstance,
         ws: &mut DmraWorkspace,
     ) -> Result<DmraOutcome> {
-        // `Delta` without session state (no cross-epoch cache to consult)
-        // degrades to exactly the `Components` execution — the session
-        // entry point in `DmraSession::allocate` is the only delta path.
         if self.effective_solve_mode(instance) != SolveMode::Monolithic {
             let decomp = decompose(instance);
             record_decomposition(&decomp);
@@ -281,39 +263,8 @@ impl Dmra {
     /// rules below reconstruct exactly the global trajectories
     /// (`iterations = max`, per-iteration counters are sums with quiesced
     /// components contributing zero).
-    fn solve_decomposed(
-        &self,
-        instance: &ProblemInstance,
-        decomp: &Decomposition,
-        ws: &mut DmraWorkspace,
-    ) -> Result<DmraOutcome> {
-        let obs_on = dmra_obs::enabled();
-        let solve_started = obs_on.then(std::time::Instant::now);
-        let n_ues = instance.n_ues();
-
-        let which: Vec<usize> = (0..decomp.components.len()).collect();
-        let mut bs_local = vec![0u32; instance.n_bss()];
-        let runs = self.solve_component_set(instance, decomp, &which, ws, &mut bs_local);
-
-        let mut runs_by_component = runs.into_iter();
-        let merged = merge_component_runs(n_ues, decomp, |_| {
-            runs_by_component
-                .next()
-                .expect("one run per listed component")
-        })?;
-
-        if obs_on {
-            record_solve(&merged, n_ues, solve_started);
-        }
-
-        Ok(merged.into_outcome())
-    }
-
-    /// Solves the listed components (`which` indexes `decomp.components`,
-    /// ascending), returning one [`MatchRun`] per listed component, in
-    /// list order.
     ///
-    /// Below the [`solve_min_fanout_ues`] total-UE threshold (or on a
+    /// Below the [`SOLVE_MIN_FANOUT_UES`] total-UE threshold (or on a
     /// single-thread knob) the components run serially on the caller's
     /// workspace — the worker orchestration of tiny solves costs more
     /// than the matching itself (the `BENCH_solve.json` metro curve sat
@@ -324,201 +275,48 @@ impl Dmra {
     /// global→local BS index map whose entries are always written before
     /// read for the component at hand. The chosen path is recorded as
     /// `core.solve_serial` / `core.solve_fanout`.
-    fn solve_component_set(
+    fn solve_decomposed(
         &self,
         instance: &ProblemInstance,
         decomp: &Decomposition,
-        which: &[usize],
-        ws: &mut DmraWorkspace,
-        bs_local: &mut Vec<u32>,
-    ) -> Vec<Result<MatchRun>> {
-        let n_bss = instance.n_bss();
-        let n_svcs = instance.catalog().len() as usize;
-        let config = &self.config;
-        let total_ues: usize = which.iter().map(|&c| decomp.components[c].ues.len()).sum();
-        let serial = total_ues < solve_min_fanout_ues() || self.solve_threads.resolve() <= 1;
-        record_solve_path(serial);
-        if serial {
-            if bs_local.len() < n_bss {
-                bs_local.resize(n_bss, 0);
-            }
-            which
-                .iter()
-                .map(|&c| {
-                    let comp = &decomp.components[c];
-                    load_component(instance, comp, ws, bs_local);
-                    match_loop(config, comp.ues.len(), comp.bss.len(), n_svcs, ws)
-                })
-                .collect()
-        } else {
-            par_map_indexed_scratch(
-                self.solve_threads,
-                which.len(),
-                || (DmraWorkspace::default(), vec![0u32; n_bss]),
-                |(ws, bs_local), i| {
-                    let comp = &decomp.components[which[i]];
-                    load_component(instance, comp, ws, bs_local);
-                    match_loop(config, comp.ues.len(), comp.bss.len(), n_svcs, ws)
-                },
-            )
-        }
-    }
-
-    /// The cross-epoch delta execution ([`SolveMode::Delta`], DESIGN.md
-    /// §17): decompose, then **replay** the cached [`MatchRun`] of every
-    /// component that is provably untouched since the previous epoch and
-    /// solve only the rest.
-    ///
-    /// A component replays only when *all* of the following hold, each of
-    /// which fails closed:
-    ///
-    /// 1. the instance carries [`DeltaInfo`](crate::instance::DeltaInfo)
-    ///    metadata continuing this state's lineage (`ctx_id` equal,
-    ///    `seq` exactly one past the last solve — gaps, fresh contexts
-    ///    and missing metadata all mean "everything dirty");
-    /// 2. none of the component's member UEs or BSs appear in the diff's
-    ///    dirty sets (dirty UEs = rebuilt or new-ground candidate rows;
-    ///    dirty BSs = remaining-budget changes);
-    /// 3. the cache holds an entry at the component's smallest UE id
-    ///    whose member lists equal the component's (joins, splits and
-    ///    departures all change membership).
-    ///
-    /// Together these imply the component's sub-instance is bit-identical
-    /// to the one its cached run was computed from, so replaying the run
-    /// is exact — the merged outcome is bit-identical to a from-scratch
-    /// solve, which `tests/delta_solve.rs` pins across engines, seeds and
-    /// allocators.
-    fn solve_delta(
-        &self,
-        instance: &ProblemInstance,
-        state: &mut DeltaState,
         ws: &mut DmraWorkspace,
     ) -> Result<DmraOutcome> {
         let obs_on = dmra_obs::enabled();
         let solve_started = obs_on.then(std::time::Instant::now);
         let n_ues = instance.n_ues();
         let n_bss = instance.n_bss();
+        let n_svcs = instance.catalog().len() as usize;
+        let config = &self.config;
 
-        // Field-wise destructuring lets the decomposition borrow coexist
-        // with cache/scratch mutation below.
-        let DeltaState {
-            valid,
-            ctx_id,
-            seq,
-            cache,
-            decomposer,
-            dirty_ue,
-            dirty_bs,
-            which,
-            bs_local,
-        } = state;
-
-        let decomp = decomposer.run(instance);
-        record_decomposition(decomp);
-
-        let delta = instance.delta();
-        // `track`: maintain the cache for the next epoch. `continuous`:
-        // the diff provably describes the change since the instance this
-        // state last solved, so clean components may replay.
-        let track = delta.is_some();
-        let continuous = delta.is_some_and(|d| *valid && d.ctx_id == *ctx_id && d.seq == *seq + 1);
-        if let Some(d) = delta {
-            *valid = true;
-            *ctx_id = d.ctx_id;
-            *seq = d.seq;
+        let total_ues = n_ues - decomp.cloud_only.len();
+        let serial = total_ues < SOLVE_MIN_FANOUT_UES || self.solve_threads.resolve() <= 1;
+        record_solve_path(serial);
+        let runs: Vec<Result<MatchRun>> = if serial {
+            let mut bs_local = vec![0u32; n_bss];
+            decomp
+                .components
+                .iter()
+                .map(|comp| {
+                    load_component(instance, comp, ws, &mut bs_local);
+                    match_loop(config, comp.ues.len(), comp.bss.len(), n_svcs, ws)
+                })
+                .collect()
         } else {
-            // No metadata: nothing can vouch for the next diff's base
-            // either, so drop the cache rather than let a later epoch
-            // replay against a stale snapshot.
-            *valid = false;
-            cache.clear();
-        }
-
-        dirty_ue.clear();
-        dirty_bs.clear();
-        if continuous {
-            let d = delta.expect("continuous implies delta metadata");
-            dirty_ue.resize(n_ues, false);
-            dirty_bs.resize(n_bss, false);
-            for &u in &d.dirty_ues {
-                if let Some(m) = dirty_ue.get_mut(u as usize) {
-                    *m = true;
-                }
-            }
-            for &b in &d.dirty_bss {
-                if let Some(m) = dirty_bs.get_mut(b as usize) {
-                    *m = true;
-                }
-            }
-        }
-
-        // Classify: a hit replays, everything else lands in `which`.
-        which.clear();
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let mut invalidations = 0u64;
-        let mut replayed_ues = 0u64;
-        for (c, comp) in decomp.components.iter().enumerate() {
-            let cached = cache.get(&comp.ues[0]);
-            let clean = continuous
-                && comp.ues.iter().all(|&u| !dirty_ue[u as usize])
-                && comp.bss.iter().all(|&b| !dirty_bs[b as usize])
-                && cached.is_some_and(|e| e.ues == comp.ues && e.bss == comp.bss);
-            if clean {
-                hits += 1;
-                replayed_ues += comp.ues.len() as u64;
-            } else {
-                which.push(c);
-                if cached.is_some() {
-                    invalidations += 1;
-                } else {
-                    misses += 1;
-                }
-            }
-        }
-
-        let runs = self.solve_component_set(instance, decomp, which, ws, bs_local);
-        let mut fresh = runs.into_iter();
-        let merged = if track {
-            // Store the fresh runs, sweep entries whose component no
-            // longer exists (components are ordered by smallest UE id,
-            // so the key lookup is a binary search), then merge every
-            // component straight out of the cache.
-            for &c in which.iter() {
-                let run = fresh.next().expect("one run per dirty component")?;
-                let comp = &decomp.components[c];
-                cache.insert(
-                    comp.ues[0],
-                    CachedComponent {
-                        ues: comp.ues.clone(),
-                        bss: comp.bss.clone(),
-                        run,
-                    },
-                );
-            }
-            cache.retain(|&k, _| {
-                decomp
-                    .components
-                    .binary_search_by_key(&k, |c| c.ues[0])
-                    .is_ok()
-            });
-            merge_component_runs(n_ues, decomp, |c| {
-                Ok(cache
-                    .get(&decomp.components[c].ues[0])
-                    .expect("every current component has a cache entry")
-                    .run
-                    .clone())
-            })?
-        } else {
-            // Untracked ⇒ not continuous ⇒ `which` lists every component.
-            merge_component_runs(n_ues, decomp, |_| {
-                fresh.next().expect("one run per component (all dirty)")
-            })?
+            par_map_indexed_scratch(
+                self.solve_threads,
+                decomp.components.len(),
+                || (DmraWorkspace::default(), vec![0u32; n_bss]),
+                |(ws, bs_local), c| {
+                    let comp = &decomp.components[c];
+                    load_component(instance, comp, ws, bs_local);
+                    match_loop(config, comp.ues.len(), comp.bss.len(), n_svcs, ws)
+                },
+            )
         };
+        let merged = merge_component_runs(n_ues, decomp, runs)?;
 
         if obs_on {
             record_solve(&merged, n_ues, solve_started);
-            record_delta_solve(hits, misses, invalidations, replayed_ues, solve_started);
         }
 
         Ok(merged.into_outcome())
@@ -667,13 +465,11 @@ impl Allocator for Dmra {
 
     /// DMRA's session keeps a [`DmraWorkspace`] alive across calls, so a
     /// per-epoch solve in the online simulator touches the heap only for
-    /// the outcome it returns — and under [`SolveMode::Delta`] it also
-    /// carries the cross-epoch per-component result cache.
+    /// the outcome it returns.
     fn session(&self) -> Box<dyn AllocatorSession + '_> {
         Box::new(DmraSession {
             dmra: *self,
             workspace: DmraWorkspace::default(),
-            delta: DeltaState::default(),
         })
     }
 }
@@ -713,81 +509,26 @@ pub struct DmraWorkspace {
     winners: Vec<DenseProposal>,
 }
 
-/// The [`AllocatorSession`] of [`Dmra`]: config plus a live workspace,
-/// plus the cross-epoch delta cache ([`SolveMode::Delta`] only; empty
-/// and untouched under every other mode).
+/// The [`AllocatorSession`] of [`Dmra`]: config plus a live workspace.
 struct DmraSession {
     dmra: Dmra,
     workspace: DmraWorkspace,
-    delta: DeltaState,
 }
 
 impl AllocatorSession for DmraSession {
     fn allocate(&mut self, instance: &ProblemInstance) -> Allocation {
-        let out = if self.dmra.effective_solve_mode(instance) == SolveMode::Delta {
-            self.dmra
-                .solve_delta(instance, &mut self.delta, &mut self.workspace)
-        } else {
-            self.dmra
-                .solve_with_workspace(instance, &mut self.workspace)
-        };
-        out.expect("DMRA terminates within its iteration bound")
+        self.dmra
+            .solve_with_workspace(instance, &mut self.workspace)
+            .expect("DMRA terminates within its iteration bound")
             .allocation
     }
-}
-
-/// One entry of the delta cache: a component's member lists at the time
-/// it was last solved, plus the [`MatchRun`] that solve produced (local
-/// indices relative to those lists).
-#[derive(Debug)]
-struct CachedComponent {
-    ues: Vec<u32>,
-    bss: Vec<u32>,
-    run: MatchRun,
-}
-
-/// Session state of the cross-epoch delta solver ([`SolveMode::Delta`],
-/// DESIGN.md §17): the per-component result cache keyed by the
-/// component's smallest UE id, the [`DeltaInfo`] lineage cursor that
-/// guards continuity, and reusable classification scratch.
-///
-/// [`DeltaInfo`]: crate::instance::DeltaInfo
-#[derive(Debug, Default)]
-struct DeltaState {
-    /// Whether `ctx_id`/`seq` describe the instance this state last
-    /// solved. False until the first tracked solve and after any
-    /// untracked one.
-    valid: bool,
-    /// The [`DeploymentContext`](crate::online::DeploymentContext) id of
-    /// the last tracked instance.
-    ctx_id: u64,
-    /// Its build sequence number. The next instance's diff is usable only
-    /// if its `seq` is exactly `seq + 1` — any gap (a skipped build, a
-    /// failed build, a different context) fails the continuity check
-    /// closed and everything resolves as dirty.
-    seq: u64,
-    /// Component results from the last tracked solve, keyed by the
-    /// component's smallest UE id (stable across epochs as long as the
-    /// membership is stable, which the entry re-checks on lookup).
-    cache: HashMap<u32, CachedComponent>,
-    /// Reused union-find decomposition scratch.
-    decomposer: Decomposer,
-    /// Per-UE / per-BS dirty masks scattered from the instance's
-    /// [`DeltaInfo`](crate::instance::DeltaInfo) lists.
-    dirty_ue: Vec<bool>,
-    dirty_bs: Vec<bool>,
-    /// Indices of the components that must actually be solved.
-    which: Vec<usize>,
-    /// Global→local BS index scratch for the serial component loop.
-    bs_local: Vec<u32>,
 }
 
 /// Everything one dense [`match_loop`] run produces. Indices are *local*
 /// to the run: the monolithic path runs over global indices (local ==
 /// global), a component run over the component's ascending UE/BS lists
-/// (remapped during the merge). `Clone` exists for the delta cache,
-/// which replays stored component runs verbatim.
-#[derive(Debug, Clone)]
+/// (remapped during the merge).
+#[derive(Debug)]
 struct MatchRun {
     /// Per-UE assignment (local BS ids); `None` = cloud or unreachable.
     assigned: Vec<Option<BsId>>,
@@ -1111,18 +852,18 @@ fn match_loop(
     })
 }
 
-/// Deterministic merge of per-component [`MatchRun`]s back to global UE
-/// order: `run_of(c)` yields component `c`'s run (freshly solved or
-/// replayed from the delta cache — the merge cannot tell the difference,
-/// which is the point). Components are ordered by smallest UE id and each
+/// Deterministic merge of per-component [`MatchRun`]s (one per component,
+/// in component order) back to global UE order. Components are ordered by
+/// smallest UE id and each
 /// UE belongs to exactly one component, so the merge rules reconstruct
 /// exactly the monolithic trajectories: `iterations = max`, per-iteration
 /// counters are element-wise sums with quiesced components contributing
 /// zero, and cloud-only UEs (in no component) seed `cloud_total`.
-fn merge_component_runs<F>(n_ues: usize, decomp: &Decomposition, mut run_of: F) -> Result<MatchRun>
-where
-    F: FnMut(usize) -> Result<MatchRun>,
-{
+fn merge_component_runs(
+    n_ues: usize,
+    decomp: &Decomposition,
+    runs: Vec<Result<MatchRun>>,
+) -> Result<MatchRun> {
     let mut merged = MatchRun {
         assigned: vec![None; n_ues],
         iterations: 1,
@@ -1135,8 +876,8 @@ where
         cloud_total: decomp.cloud_only.len(),
         workspace_reused: false,
     };
-    for (c, comp) in decomp.components.iter().enumerate() {
-        let run = run_of(c)?;
+    for (comp, run) in decomp.components.iter().zip(runs) {
+        let run = run?;
         // A component that quiesced at `T_c` contributes zero to every
         // later global iteration: all its UEs are assigned or
         // cloud-forwarded by then, exactly as in the monolithic run.
@@ -1165,7 +906,7 @@ where
     Ok(merged)
 }
 
-/// Records which execution path [`Dmra::solve_component_set`] chose
+/// Records which execution path [`Dmra::solve_decomposed`] chose
 /// (`core.solve_serial` below the min-fanout threshold,
 /// `core.solve_fanout` above it) — the witness for the threshold
 /// satellite's telemetry requirement.
@@ -1180,49 +921,6 @@ fn record_solve_path(serial: bool) {
     } else {
         FANOUT.get().inc();
     }
-}
-
-/// Records the `core.delta_*` telemetry of one [`SolveMode::Delta`]
-/// solve: component-level hit/miss/invalidation counts (hit = replayed
-/// verbatim; invalidation = a cached entry existed but was dirty or its
-/// membership changed; miss = no cached entry), total replayed UEs, and
-/// the wall-clock histogram `core.delta_solve_ns`.
-fn record_delta_solve(
-    hits: u64,
-    misses: u64,
-    invalidations: u64,
-    replayed_ues: u64,
-    solve_started: Option<std::time::Instant>,
-) {
-    static SOLVES: dmra_obs::LazyCounter = dmra_obs::LazyCounter::new("core.delta_solves");
-    static HITS: dmra_obs::LazyCounter = dmra_obs::LazyCounter::new("core.delta_component_hits");
-    static MISSES: dmra_obs::LazyCounter =
-        dmra_obs::LazyCounter::new("core.delta_component_misses");
-    static INVALIDATIONS: dmra_obs::LazyCounter =
-        dmra_obs::LazyCounter::new("core.delta_invalidations");
-    static REPLAYED_UES: dmra_obs::LazyCounter =
-        dmra_obs::LazyCounter::new("core.delta_replayed_ues");
-    static SOLVE_NS: dmra_obs::LazyHistogram = dmra_obs::LazyHistogram::new("core.delta_solve_ns");
-    SOLVES.get().inc();
-    HITS.get().add(hits);
-    MISSES.get().add(misses);
-    INVALIDATIONS.get().add(invalidations);
-    REPLAYED_UES.get().add(replayed_ues);
-    let solve_ns = solve_started.map_or(0, |t| {
-        u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    });
-    SOLVE_NS.get().record(solve_ns);
-    dmra_obs::global_trace().record(dmra_obs::TraceEvent {
-        name: "core.delta_solve",
-        index: SOLVES.get().get(),
-        fields: vec![
-            ("hits", hits as f64),
-            ("misses", misses as f64),
-            ("invalidations", invalidations as f64),
-            ("replayed_ues", replayed_ues as f64),
-            ("wall_ns", solve_ns as f64),
-        ],
-    });
 }
 
 /// Records the standard `dmra.*` telemetry of one finished solve — the
@@ -1899,190 +1597,6 @@ mod tests {
             .unwrap();
         assert_eq!(comp.iterations, 1);
         assert!(comp.acceptances.is_empty());
-    }
-
-    /// The full deployment budgets of an instance, as residual-shaped
-    /// vectors.
-    fn full_budgets(inst: &ProblemInstance) -> (Vec<Vec<Cru>>, Vec<dmra_types::RrbCount>) {
-        (
-            inst.bss().iter().map(|b| b.cru_budget.clone()).collect(),
-            inst.bss().iter().map(|b| b.rrb_budget).collect(),
-        )
-    }
-
-    fn island_batch() -> Vec<UeSpec> {
-        island_instance().ues().to_vec()
-    }
-
-    #[test]
-    fn delta_session_without_metadata_matches_monolithic_session() {
-        // Instances built from scratch carry no DeltaInfo, so the delta
-        // session must degrade to the components execution — bit-identical
-        // to the monolithic session on every call, cache kept empty.
-        let delta = Dmra::default().with_solve_mode(SolveMode::Delta);
-        let mono = Dmra::default().with_solve_mode(SolveMode::Monolithic);
-        let mut delta_session = DmraSession {
-            dmra: delta,
-            workspace: DmraWorkspace::default(),
-            delta: DeltaState::default(),
-        };
-        let mut mono_session = mono.session();
-        for inst in [
-            island_instance(),
-            two_sp_instance(),
-            island_instance(),
-            contested_instance(1),
-        ] {
-            assert_eq!(delta_session.allocate(&inst), mono_session.allocate(&inst));
-            assert!(
-                delta_session.delta.cache.is_empty(),
-                "untracked instances must not populate the delta cache"
-            );
-            assert!(!delta_session.delta.valid);
-        }
-    }
-
-    #[test]
-    fn delta_session_matches_monolithic_across_context_epochs() {
-        // Epochs built through a row-cached DeploymentContext carry
-        // DeltaInfo; the delta session must stay bit-identical to a
-        // monolithic solve of every epoch instance, across unchanged
-        // epochs (pure replay), a moved UE (partial re-solve), and a
-        // same-id re-arrival with a different demand (the adversarial
-        // case: the row key misses, the UE lands in the dirty set and its
-        // component must re-solve).
-        let deployment = island_instance();
-        let (rem_cru, rem_rrb) = full_budgets(&deployment);
-        let mut ctx = crate::online::DeploymentContext::new(&deployment).with_row_cache();
-        let mut session = DmraSession {
-            dmra: Dmra::default().with_solve_mode(SolveMode::Delta),
-            workspace: DmraWorkspace::default(),
-            delta: DeltaState::default(),
-        };
-        let mono = Dmra::default().with_solve_mode(SolveMode::Monolithic);
-
-        let mut moved = island_batch();
-        moved[2].position = Point::new(140.0, 0.0); // still island 0
-        let mut redemanded = island_batch();
-        redemanded[2].cru_demand = Cru::new(5); // same id, new demand
-        let epochs = [
-            island_batch(),
-            island_batch(), // identical: both components replay
-            moved,
-            redemanded,
-            island_batch(),
-        ];
-        for (e, batch) in epochs.into_iter().enumerate() {
-            let inst = ctx
-                .epoch_instance(&rem_cru, &rem_rrb, batch)
-                .unwrap_or_else(|err| panic!("epoch {e}: {err}"));
-            let d = inst.delta().expect("row-cached builds carry DeltaInfo");
-            match e {
-                1 => assert!(
-                    d.dirty_ues.is_empty() && d.dirty_bss.is_empty(),
-                    "identical epoch {e} must be fully clean, got {d:?}"
-                ),
-                // Epoch 4 reverts to the original batch, but slot 2's
-                // cached row still carries epoch 3's key, so it misses
-                // and stays dirty — exactly the fail-closed behaviour.
-                2..=4 => assert!(
-                    d.dirty_ues.contains(&2),
-                    "epoch {e} must dirty the changed UE, got {d:?}"
-                ),
-                _ => {}
-            }
-            let fast = session.allocate(inst);
-            assert_eq!(fast, mono.allocate(inst), "epoch {e} diverged");
-            assert!(session.delta.valid);
-            assert_eq!(session.delta.cache.len(), 2, "epoch {e}");
-        }
-    }
-
-    #[test]
-    fn delta_clean_components_replay_verbatim_from_the_cache() {
-        // White-box proof that clean components replay rather than
-        // re-solve: tamper the cached run of component 0 between two
-        // identical epochs and observe the tampered assignment flow
-        // through to the output verbatim.
-        let deployment = island_instance();
-        let (rem_cru, rem_rrb) = full_budgets(&deployment);
-        let mut ctx = crate::online::DeploymentContext::new(&deployment).with_row_cache();
-        let mut session = DmraSession {
-            dmra: Dmra::default().with_solve_mode(SolveMode::Delta),
-            workspace: DmraWorkspace::default(),
-            delta: DeltaState::default(),
-        };
-
-        let inst = ctx
-            .epoch_instance(&rem_cru, &rem_rrb, island_batch())
-            .unwrap();
-        let honest = session.allocate(inst);
-        assert_eq!(honest.bs_of(dmra_types::UeId::new(0)), Some(BsId::new(0)));
-
-        // Component 0 is keyed by its smallest UE id (0); drop its local
-        // UE 0 assignment in the cached run.
-        session
-            .delta
-            .cache
-            .get_mut(&0)
-            .expect("component 0 is cached")
-            .run
-            .assigned[0] = None;
-
-        let inst = ctx
-            .epoch_instance(&rem_cru, &rem_rrb, island_batch())
-            .unwrap();
-        let replayed = session.allocate(inst);
-        assert_eq!(
-            replayed.bs_of(dmra_types::UeId::new(0)),
-            None,
-            "a clean component must replay its cached run verbatim"
-        );
-        // The other island's replay is untouched.
-        assert_eq!(
-            replayed.bs_of(dmra_types::UeId::new(1)),
-            honest.bs_of(dmra_types::UeId::new(1))
-        );
-    }
-
-    #[test]
-    fn delta_continuity_gap_fails_closed() {
-        // Skipping an epoch (the session never sees build N) leaves a
-        // sequence gap; the next allocate must treat everything as dirty
-        // and still produce the monolithic answer — even with a poisoned
-        // cache entry, which a (wrong) replay would leak.
-        let deployment = island_instance();
-        let (rem_cru, rem_rrb) = full_budgets(&deployment);
-        let mut ctx = crate::online::DeploymentContext::new(&deployment).with_row_cache();
-        let mut session = DmraSession {
-            dmra: Dmra::default().with_solve_mode(SolveMode::Delta),
-            workspace: DmraWorkspace::default(),
-            delta: DeltaState::default(),
-        };
-        let inst = ctx
-            .epoch_instance(&rem_cru, &rem_rrb, island_batch())
-            .unwrap();
-        let honest = session.allocate(inst);
-        session
-            .delta
-            .cache
-            .get_mut(&0)
-            .expect("component 0 is cached")
-            .run
-            .assigned[0] = None;
-        // Build an epoch the session never solves: the lineage advances
-        // past it.
-        let _ = ctx
-            .epoch_instance(&rem_cru, &rem_rrb, island_batch())
-            .unwrap();
-        let inst = ctx
-            .epoch_instance(&rem_cru, &rem_rrb, island_batch())
-            .unwrap();
-        assert_eq!(
-            session.allocate(inst),
-            honest,
-            "a lineage gap must force a full re-solve"
-        );
     }
 
     #[test]

@@ -104,43 +104,6 @@ pub struct ProblemInstance {
     /// `covered_ues[i]` = UEs within coverage of BS `i` that request a
     /// service it hosts — the broadcast domain of Algorithm 1 line 26.
     pub(crate) covered_ues: Vec<Vec<UeId>>,
-    /// Cross-epoch churn metadata attached by the online
-    /// [`DeploymentContext`](crate::DeploymentContext) when its row cache
-    /// is active; `None` everywhere else (from-scratch builds, residuals,
-    /// cacheless contexts). Never consulted by any allocator decision —
-    /// only the delta solve path reads it, and only to decide which
-    /// already-solved components it may *replay* (DESIGN.md §17), so two
-    /// instances differing solely in this field produce bit-identical
-    /// outcomes on every path.
-    pub(crate) delta: Option<DeltaInfo>,
-}
-
-/// Which parts of an epoch instance may differ from the previous epoch's,
-/// as tracked by the online row cache: an over-approximation — every UE
-/// whose candidate row changed is listed, every BS whose remaining budgets
-/// changed is listed, but listed entries need not have changed.
-///
-/// `ctx_id`/`seq` carry the lineage: dirty sets are diffs against the
-/// *immediately preceding* build (`seq - 1`) of the *same* context
-/// (`ctx_id`). A consumer holding state from any other (context, seq)
-/// must treat everything as dirty.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DeltaInfo {
-    /// Unique id of the [`DeploymentContext`](crate::DeploymentContext)
-    /// that built this instance (process-global counter).
-    pub ctx_id: u64,
-    /// Build sequence number within the context, bumped on every build
-    /// whose row-cache state advanced — including builds that later
-    /// failed validation, so a consumer's continuity check cannot be
-    /// fooled by an unobserved intermediate build.
-    pub seq: u64,
-    /// UE slots whose candidate row is *not* known to be bit-identical to
-    /// the previous build's row at the same slot (cache misses, plus every
-    /// slot past the previous build's batch length). Ascending.
-    pub dirty_ues: Vec<u32>,
-    /// BSs whose remaining budgets changed in this build (the row cache's
-    /// freshly stamped set). Ascending.
-    pub dirty_bss: Vec<u32>,
 }
 
 impl ProblemInstance {
@@ -348,16 +311,7 @@ impl ProblemInstance {
             row_start,
             f_u,
             covered_ues,
-            delta: None,
         })
-    }
-
-    /// The cross-epoch churn metadata of this build, when the producing
-    /// [`DeploymentContext`](crate::DeploymentContext) tracked it (see
-    /// [`DeltaInfo`]).
-    #[must_use]
-    pub fn delta(&self) -> Option<&DeltaInfo> {
-        self.delta.as_ref()
     }
 
     /// The service providers, ordered by id.

@@ -81,11 +81,10 @@ mod online;
 pub use allocation::{Allocation, AllocationStats};
 pub use allocator::{Allocator, AllocatorSession};
 pub use components::{
-    decompose, set_solve_mode_default, solve_mode_default, Component, Decomposer, Decomposition,
-    SolveMode,
+    decompose, set_solve_mode_default, solve_mode_default, Component, Decomposition, SolveMode,
 };
 pub use dmra::{Dmra, DmraConfig, DmraOutcome, DmraWorkspace};
 pub use dmra_par::Threads;
 pub use dmra_radio::{batch_mode_default, set_batch_mode_default, BatchMode};
-pub use instance::{CandidateLink, CandidateScan, CoverageModel, DeltaInfo, ProblemInstance};
+pub use instance::{CandidateLink, CandidateScan, CoverageModel, ProblemInstance};
 pub use online::DeploymentContext;

@@ -52,13 +52,12 @@
 
 use crate::instance::{
     coverage_prune_index, scan_candidate_row, scan_candidate_row_batch, validate_ues,
-    CandidateLink, CandidateScan, CoverageModel, DeltaInfo, ProblemInstance, RowScratch,
+    CandidateLink, CandidateScan, CoverageModel, ProblemInstance, RowScratch,
 };
 use dmra_geo::GridIndex;
 use dmra_par::{par_map_indexed_scratch, Threads};
 use dmra_radio::{InterferenceModel, LinkBatch, LinkEvaluator};
 use dmra_types::{Cru, Error, Meters, Result, RrbCount, ServiceId, SpId, UeSpec};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Epoch-persistent deployment state for the online regime.
 ///
@@ -66,22 +65,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// zero-UE instance the simulator starts from), then call
 /// [`DeploymentContext::epoch_instance`] once per epoch with the
 /// remaining budgets and the arrival batch.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DeploymentContext {
     /// The reused epoch instance; UEs/links/budgets are overwritten per
     /// epoch, everything else stays the validated deployment.
     instance: ProblemInstance,
-    /// Process-unique id of this context, carried by the [`DeltaInfo`]
-    /// lineage so a delta consumer can never mix diffs from two contexts
-    /// (a [`Clone`] allocates a fresh id for the same reason).
-    ctx_id: u64,
-    /// Build sequence number: bumped on every build whose row-cache state
-    /// advanced (see [`DeltaInfo::seq`]) and on every staged prebuilt
-    /// delta.
-    delta_seq: u64,
-    /// Delta metadata staged by [`DeploymentContext::stage_delta`] for the
-    /// next [`DeploymentContext::epoch_instance_prebuilt`] call.
-    pending_delta: Option<DeltaInfo>,
     /// Radio evaluator, derived once from the deployment's radio config.
     evaluator: LinkEvaluator,
     /// Load-proportional interference factor (zero under noise-only).
@@ -117,34 +105,6 @@ const PAR_ROWS_MIN: usize = 1024;
 /// the least-recently-used slots instead of growing without bound; see
 /// [`DeploymentContext::with_row_cache_capacity`].
 pub const ROW_CACHE_DEFAULT_CAPACITY: usize = 1 << 16;
-
-/// Source of process-unique [`DeploymentContext`] ids (0 is never issued,
-/// so a zeroed [`DeltaInfo`] can't collide with a real context).
-static NEXT_CTX_ID: AtomicU64 = AtomicU64::new(1);
-
-impl Clone for DeploymentContext {
-    /// Clones the full context state but allocates a **fresh context id**:
-    /// the clone's builds form a new [`DeltaInfo`] lineage, so a delta
-    /// consumer can never misread a diff produced by the clone as
-    /// continuing the original's sequence.
-    fn clone(&self) -> Self {
-        Self {
-            instance: self.instance.clone(),
-            ctx_id: NEXT_CTX_ID.fetch_add(1, Ordering::Relaxed),
-            delta_seq: 0,
-            pending_delta: None,
-            evaluator: self.evaluator.clone(),
-            interference_factor: self.interference_factor,
-            total_rx_mw: self.total_rx_mw.clone(),
-            prune: self.prune.clone(),
-            validated_distance: self.validated_distance,
-            query_buf: self.query_buf.clone(),
-            batch: self.batch.clone(),
-            row_cache: self.row_cache.clone(),
-            threads: self.threads,
-        }
-    }
-}
 
 /// Everything a candidate row depends on besides the fixed deployment and
 /// the remaining budgets: the UE's own spec (position as raw bits — a
@@ -228,9 +188,6 @@ struct RowCache {
     /// Lifetime LRU evictions (see
     /// [`DeploymentContext::row_cache_evictions`]).
     evictions: u64,
-    /// The previous rebuild's batch length: slots at or past it are new
-    /// arrivals for delta-tracking purposes even on a (stale) cache hit.
-    prev_batch_len: usize,
     /// Reused `(last_used, slot)` scratch for the eviction sort.
     lru_scratch: Vec<(u64, u32)>,
 }
@@ -245,16 +202,10 @@ impl RowCache {
 
     /// Compares this epoch's remaining budgets against the previous
     /// epoch's, per BS, and stamps exactly the BSs whose budgets changed
-    /// (on the first epoch: all of them), appending each stamped BS index
-    /// to `dirty_bss` in ascending order — i.e. which cells' rows were
-    /// just invalidated; an empty result means every cached row rides
-    /// through untouched.
-    fn observe_budgets(
-        &mut self,
-        rem_cru: &[Vec<Cru>],
-        rem_rrb: &[RrbCount],
-        dirty_bss: &mut Vec<u32>,
-    ) {
+    /// (on the first epoch: all of them). Returns how many BSs were
+    /// stamped — i.e. how many cells' rows were just invalidated; zero
+    /// means every cached row rides through untouched.
+    fn observe_budgets(&mut self, rem_cru: &[Vec<Cru>], rem_rrb: &[RrbCount]) -> u64 {
         let n_bss = rem_rrb.len();
         if self.bs_stamps.len() != n_bss {
             // First epoch (or a budget-arity change): every BS is new.
@@ -268,22 +219,23 @@ impl RowCache {
             }
             self.prev_rem_rrb.clear();
             self.prev_rem_rrb.extend_from_slice(rem_rrb);
-            dirty_bss.extend(0..n_bss as u32);
-            return;
+            return n_bss as u64;
         }
+        let mut changed = 0u64;
         let next = self.epoch + 1;
         for b in 0..n_bss {
             if self.prev_rem_rrb[b] != rem_rrb[b] || self.prev_rem_cru[b] != rem_cru[b] {
-                dirty_bss.push(b as u32);
+                changed += 1;
                 self.bs_stamps[b] = next;
                 self.prev_rem_rrb[b] = rem_rrb[b];
                 self.prev_rem_cru[b].clone_from(&rem_cru[b]);
             }
         }
-        if !dirty_bss.is_empty() {
+        if changed > 0 {
             self.epoch = next;
             self.max_stamp = next;
         }
+        changed
     }
 
     /// Post-rebuild LRU maintenance: every slot of the just-built batch
@@ -295,7 +247,6 @@ impl RowCache {
         for slot in self.slots.iter_mut().take(n_ues).flatten() {
             slot.last_used = self.uses;
         }
-        self.prev_batch_len = n_ues;
         let mut evicted = 0u64;
         if self.occupied > self.capacity {
             self.lru_scratch.clear();
@@ -417,9 +368,6 @@ impl DeploymentContext {
         let n_bss = instance.bss.len();
         Self {
             instance,
-            ctx_id: NEXT_CTX_ID.fetch_add(1, Ordering::Relaxed),
-            delta_seq: 0,
-            pending_delta: None,
             evaluator,
             interference_factor,
             total_rx_mw: vec![0.0; n_bss],
@@ -522,24 +470,6 @@ impl DeploymentContext {
         self.row_cache.as_ref().map(|c| c.occupied)
     }
 
-    /// Stages cross-epoch churn metadata for the next
-    /// [`DeploymentContext::epoch_instance_prebuilt`] call, which attaches
-    /// it to the assembled instance under this context's own
-    /// [`DeltaInfo`] lineage. The region-sharded runtime calls this with
-    /// the union of its shard workers' dirty sets; `None` (a shard could
-    /// not report) still advances the sequence number, so a delta
-    /// consumer's continuity check fails closed on the next epoch instead
-    /// of misreading a stale diff.
-    pub fn stage_delta(&mut self, dirty: Option<(Vec<u32>, Vec<u32>)>) {
-        self.delta_seq += 1;
-        self.pending_delta = dirty.map(|(dirty_ues, dirty_bss)| DeltaInfo {
-            ctx_id: self.ctx_id,
-            seq: self.delta_seq,
-            dirty_ues,
-            dirty_bss,
-        });
-    }
-
     /// Assembles this epoch's instance from candidate rows built
     /// elsewhere: the region-sharded runtime has per-shard contexts build
     /// the rows in parallel, merges them in global UE order, and calls
@@ -626,9 +556,6 @@ impl DeploymentContext {
         for covered in &mut inst.covered_ues {
             covered.clear();
         }
-        // Churn metadata staged via `stage_delta` rides on this assembly
-        // (and only this one — `take` so nothing stale survives).
-        inst.delta = self.pending_delta.take();
         // `row_max` in the scans is the max over *accepted* links, so the
         // merged links' distances reproduce it exactly.
         let mut max_candidate_distance = Meters::new(0.0);
@@ -714,30 +641,12 @@ impl DeploymentContext {
         // row to the whole batch, so the cache is bypassed entirely
         // there.
         let cache_active = self.row_cache.is_some() && self.interference_factor == 0.0;
-        // Reuse the previous build's DeltaInfo allocations when the cache
-        // tracks churn; otherwise make sure nothing stale survives on the
-        // reused instance.
-        let mut delta = if cache_active {
-            let mut d = inst.delta.take().unwrap_or_default();
-            d.dirty_ues.clear();
-            d.dirty_bss.clear();
-            Some(d)
-        } else {
-            inst.delta = None;
-            None
-        };
-        let prev_batch_len = self.row_cache.as_ref().map_or(0, |c| c.prev_batch_len);
-        if let Some(d) = delta.as_mut() {
+        let mut invalidated_bss = 0u64;
+        if cache_active {
             let cache = self.row_cache.as_mut().expect("cache_active");
-            // The cache state advances now, so the delta lineage sequence
-            // must advance with it — even if this build later fails the
-            // margin check, the gap keeps any consumer's continuity guard
-            // from misreading the next build's diff.
-            self.delta_seq += 1;
             cache.uses += 1;
-            cache.observe_budgets(rem_cru, rem_rrb, &mut d.dirty_bss);
+            invalidated_bss = cache.observe_budgets(rem_cru, rem_rrb);
         }
-        let invalidated_bss = delta.as_ref().map_or(0, |d| d.dirty_bss.len() as u64);
         let mut cache_hits = 0u64;
         let mut cache_misses = 0u64;
 
@@ -849,15 +758,6 @@ impl DeploymentContext {
                 let row_max = match outcome {
                     RowOutcome::Hit => {
                         cache_hits += 1;
-                        if u >= prev_batch_len {
-                            if let Some(d) = delta.as_mut() {
-                                // A stale-slot hit: identical to *some*
-                                // earlier build of this slot, but not to
-                                // the previous build's batch — new ground
-                                // for a delta consumer.
-                                d.dirty_ues.push(u as u32);
-                            }
-                        }
                         let row = self.row_cache.as_ref().expect("hit implies cache").slots[u]
                             .as_ref()
                             .expect("hit implies slot");
@@ -876,9 +776,6 @@ impl DeploymentContext {
                         }
                         if cache_active {
                             cache_misses += 1;
-                            if let Some(d) = delta.as_mut() {
-                                d.dirty_ues.push(u as u32);
-                            }
                             self.row_cache.as_mut().expect("cache_active").store(
                                 u,
                                 RowKey::of(&inst.ues[u]),
@@ -925,13 +822,6 @@ impl DeploymentContext {
                 }
                 if hit {
                     cache_hits += 1;
-                    if u >= prev_batch_len {
-                        if let Some(d) = delta.as_mut() {
-                            // Stale-slot hit past the previous batch
-                            // length: new ground for a delta consumer.
-                            d.dirty_ues.push(u as u32);
-                        }
-                    }
                 } else {
                     row_max = match &self.prune {
                         Some((index, radius)) => {
@@ -971,9 +861,6 @@ impl DeploymentContext {
                     };
                     if let Some(key) = key {
                         cache_misses += 1;
-                        if let Some(d) = delta.as_mut() {
-                            d.dirty_ues.push(u as u32);
-                        }
                         // The consulted set is this row's prune-query
                         // hits, still sitting in the query buffer.
                         let deps = self
@@ -1017,15 +904,6 @@ impl DeploymentContext {
             inst.pricing
                 .validate_margin(&inst.sps, max_candidate_distance)?;
             self.validated_distance = max_candidate_distance;
-        }
-
-        // Attach the churn metadata last, under this context's lineage —
-        // a build that failed above never emits, and the sequence gap it
-        // left behind fails any consumer's continuity check closed.
-        if let Some(mut d) = delta {
-            d.ctx_id = self.ctx_id;
-            d.seq = self.delta_seq;
-            inst.delta = Some(d);
         }
 
         if obs_on {

@@ -43,28 +43,29 @@ impl PricingConfig {
         self
     }
 
-    /// Checks the structural requirements: `b > 0`, `ι > 1`, `σ ≥ 0`.
+    /// Checks the structural requirements: `b > 0`, `ι > 1`, `σ ≥ 0`, all
+    /// finite (a NaN would slip through every ordered comparison).
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] naming the offending field.
     pub fn validate(&self) -> Result<()> {
-        if self.base_price.get() <= 0.0 {
+        if !(self.base_price.is_finite() && self.base_price.get() > 0.0) {
             return Err(Error::InvalidConfig(format!(
-                "base price b must be positive, got {}",
+                "base price b must be positive and finite, got {}",
                 self.base_price
             )));
         }
-        if self.cross_sp_markup <= 1.0 {
+        let iota = self.cross_sp_markup;
+        if !(iota.is_finite() && iota > 1.0) {
             return Err(Error::InvalidConfig(format!(
-                "cross-SP markup ι must exceed 1, got {}",
-                self.cross_sp_markup
+                "cross-SP markup ι must be finite and exceed 1, got {iota}"
             )));
         }
-        if self.distance_exponent < 0.0 {
+        let sigma = self.distance_exponent;
+        if !(sigma.is_finite() && sigma >= 0.0) {
             return Err(Error::InvalidConfig(format!(
-                "distance exponent σ must be non-negative, got {}",
-                self.distance_exponent
+                "distance exponent σ must be non-negative and finite, got {sigma}"
             )));
         }
         Ok(())
@@ -195,6 +196,35 @@ mod tests {
         p.distance_exponent = -0.5;
         assert!(p.validate().is_err());
         assert!(PricingConfig::paper_defaults().validate().is_ok());
+    }
+
+    /// Asserts every non-finite value of one field is rejected with an
+    /// error naming that field.
+    fn assert_non_finite_rejected(set: fn(&mut PricingConfig, f64), field: &str) {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut p = PricingConfig::paper_defaults();
+            set(&mut p, bad);
+            let err = p.validate().expect_err("non-finite constant accepted");
+            assert!(
+                err.to_string().contains(field),
+                "error for {field} = {bad} does not name it: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn validate_rejects_non_finite_base_price() {
+        assert_non_finite_rejected(|p, v| p.base_price = Money::new(v), "base price b");
+    }
+
+    #[test]
+    fn validate_rejects_non_finite_markup() {
+        assert_non_finite_rejected(|p, v| p.cross_sp_markup = v, "markup ι");
+    }
+
+    #[test]
+    fn validate_rejects_non_finite_distance_exponent() {
+        assert_non_finite_rejected(|p, v| p.distance_exponent = v, "exponent σ");
     }
 
     #[test]

@@ -68,8 +68,8 @@ use crate::config::ScenarioConfig;
 use crate::shard::{EpochBudgets, ShardGrid, ShardedRows};
 use dmra_core::agents::{run_protocol, ProtocolOptions};
 use dmra_core::{
-    solve_mode_default, Allocation, Allocator, AllocatorSession, CandidateScan, DeploymentContext,
-    Dmra, DmraConfig, ProblemInstance, SolveMode, Threads,
+    Allocation, Allocator, AllocatorSession, CandidateScan, DeploymentContext, Dmra, DmraConfig,
+    ProblemInstance, Threads,
 };
 use dmra_geo::rng::component_rng;
 use dmra_obs::{obs_warn, EpochObserver, EpochRecord};
@@ -518,7 +518,7 @@ impl DynamicSimulator {
         let deployment = self.deployment()?;
         self.drive(
             &deployment,
-            Rows::Context(delta_aware_ctx(&deployment)),
+            Rows::Context(DeploymentContext::new(&deployment)),
             Matcher::Session(self.allocator.session()),
         )
     }
@@ -558,7 +558,7 @@ impl DynamicSimulator {
         faults.validate(deployment.bss().len())?;
         self.drive(
             &deployment,
-            Rows::Context(delta_aware_ctx(&deployment)),
+            Rows::Context(DeploymentContext::new(&deployment)),
             Matcher::Proto {
                 faults,
                 run_seed: self.config.seed,
@@ -1004,21 +1004,6 @@ impl Matcher<'_> {
             Matcher::Proto { aux, .. } => std::mem::take(aux).push(record),
             _ => record,
         }
-    }
-}
-
-/// The unsharded engines' epoch context. Under the delta solve mode
-/// the cross-epoch row cache is enabled so every epoch instance carries
-/// the [`dmra_core::DeltaInfo`] churn metadata the delta solver replays
-/// against; otherwise the plain context is returned. The cache never
-/// changes a candidate row (the incremental tests pin bit-identity), so
-/// outcomes are the same either way — only the solve path differs.
-fn delta_aware_ctx(deployment: &ProblemInstance) -> DeploymentContext {
-    let ctx = DeploymentContext::new(deployment);
-    if solve_mode_default() == SolveMode::Delta {
-        ctx.with_row_cache()
-    } else {
-        ctx
     }
 }
 

@@ -27,10 +27,7 @@
 //! build — the dominant per-epoch cost at scale — and leaves the matcher
 //! bit-identical by construction (`tests/sharding.rs` pins it).
 
-use dmra_core::{
-    solve_mode_default, CandidateLink, CoverageModel, DeltaInfo, DeploymentContext,
-    ProblemInstance, SolveMode,
-};
+use dmra_core::{CandidateLink, CoverageModel, DeploymentContext, ProblemInstance};
 use dmra_obs::{EpochRecord, Histogram, Registry, ScrapeGuard};
 use dmra_par::WorkerPool;
 use dmra_radio::{InterferenceModel, RadioConfig};
@@ -194,13 +191,6 @@ pub(crate) struct ShardSlot {
 pub(crate) struct ShardRows {
     pub(crate) links: Vec<CandidateLink>,
     pub(crate) row_start: Vec<usize>,
-    /// The shard build's churn metadata (shard-local UE slots, global BS
-    /// indices), present when the shard context's row cache is on. The
-    /// coordinator translates these into global dirty sets via
-    /// [`stage_global_delta`] — shard-local slot cleanliness only implies
-    /// global cleanliness while the routing is unchanged, which that
-    /// helper checks.
-    pub(crate) delta: Option<DeltaInfo>,
 }
 
 /// The epoch's remaining budgets, shared read-only with every worker.
@@ -282,7 +272,6 @@ fn row_build_worker(
         let mut rows = ShardRows {
             links: Vec::new(),
             row_start: Vec::with_capacity(n_local + 1),
-            delta: instance.delta().cloned(),
         };
         rows.row_start.push(0);
         for u in 0..n_local {
@@ -357,11 +346,6 @@ pub(crate) struct ShardedRows<'g> {
     /// The coordinator context: assembles the merged instance and performs
     /// the global validation (budgets, UEs, pricing margin).
     asm: DeploymentContext,
-    /// Present when the shard contexts cache rows under the delta solve
-    /// mode: stages global dirty sets on `asm`, so the merged instance
-    /// carries the same churn metadata an unsharded row cache produces.
-    delta: Option<DeltaTracker>,
-    n_bss: usize,
     obs_on: bool,
     links: Vec<CandidateLink>,
     row_start: Vec<usize>,
@@ -402,9 +386,6 @@ impl<'g> ShardedRows<'g> {
             scrape_guard: obs_on.then(|| dmra_obs::register_scrape_sources(&registries)),
             registries,
             asm: DeploymentContext::new(deployment),
-            delta: (persistent && solve_mode_default() == SolveMode::Delta)
-                .then(|| DeltaTracker::new(grid.count())),
-            n_bss: deployment.bss().len(),
             obs_on,
             links: Vec::new(),
             row_start: Vec::new(),
@@ -436,9 +417,6 @@ impl<'g> ShardedRows<'g> {
             .into_iter()
             .collect::<Result<Vec<_>>>()?;
         merge_rows(&owners, &rows, &mut self.links, &mut self.row_start);
-        if let Some(tracker) = self.delta.as_mut() {
-            tracker.stage(&mut self.asm, &self.owners, &owners, &rows, self.n_bss);
-        }
         if self.persistent && !self.owners.is_empty() {
             self.seam_crossings += owners
                 .iter()
@@ -482,102 +460,6 @@ impl<'g> ShardedRows<'g> {
             }
             merge_registries(&self.registries);
         }
-    }
-}
-
-/// Cross-epoch tracker translating per-shard [`DeltaInfo`] into the
-/// coordinator context's **global** dirty sets (DESIGN.md §17).
-///
-/// Shard-local slot `u` of shard `s` names the same global UE in two
-/// consecutive epochs **only while the routing is unchanged**: re-routing
-/// renumbers the shard batches under the shard caches' feet, and a mover
-/// swapping into a slot whose cached key it happens to match would read
-/// as "clean" locally while the global batch changed (the occupancy-swap
-/// hazard). So the local→global translation runs only when every shard
-/// reported a continuous delta lineage (same shard context, consecutive
-/// sequence number) *and* the owners vector is element-wise unchanged;
-/// any other epoch is staged fully dirty, which costs a full re-solve —
-/// never a stale replay. The staged metadata is carried under the
-/// coordinator context's own lineage, so the delta solver's continuity
-/// guard composes unchanged.
-pub(crate) struct DeltaTracker {
-    /// Per shard: the previous epoch's `(ctx_id, seq)`, or `None` when
-    /// the shard did not report a delta.
-    lineages: Vec<Option<(u64, u64)>>,
-    /// Whether a previous epoch has been observed at all.
-    primed: bool,
-}
-
-impl DeltaTracker {
-    pub(crate) fn new(shards: usize) -> Self {
-        Self {
-            lineages: vec![None; shards],
-            primed: false,
-        }
-    }
-
-    /// Merges the shards' dirty sets into global ones and stages them on
-    /// the coordinator context for its next
-    /// [`DeploymentContext::epoch_instance_prebuilt`] call. `owners` is
-    /// this epoch's routing (from [`route`]) and `prev_owners` the
-    /// previous epoch's, `rows` the workers' builds, `n_bss` the
-    /// deployment's BS count (sizing the full-dirty fallback).
-    pub(crate) fn stage(
-        &mut self,
-        asm: &mut DeploymentContext,
-        prev_owners: &[usize],
-        owners: &[usize],
-        rows: &[ShardRows],
-        n_bss: usize,
-    ) {
-        let continuous = self.primed
-            && owners == prev_owners
-            && rows
-                .iter()
-                .zip(&self.lineages)
-                .all(|(r, lin)| match (&r.delta, lin) {
-                    (Some(d), Some((ctx, seq))) => d.ctx_id == *ctx && d.seq == seq + 1,
-                    _ => false,
-                });
-        let dirty = if continuous {
-            // Walk the owners in global order with one cursor per shard
-            // (exactly the `merge_rows` walk); each shard's dirty list is
-            // ascending in local slots, so a second per-shard cursor
-            // turns membership tests into O(1) pointer advances.
-            let mut dirty_ues = Vec::new();
-            let mut cursors = vec![0u32; rows.len()];
-            let mut dirty_pos = vec![0usize; rows.len()];
-            for (g, &s) in owners.iter().enumerate() {
-                let d = rows[s].delta.as_ref().expect("checked continuous");
-                let u = cursors[s];
-                cursors[s] += 1;
-                if d.dirty_ues.get(dirty_pos[s]) == Some(&u) {
-                    dirty_pos[s] += 1;
-                    dirty_ues.push(g as u32);
-                }
-            }
-            // BS indices are already global in every shard's delta (shard
-            // contexts are full-deployment, only site-filtered), and all
-            // shards observe the same budget arrays — union for safety.
-            let mut dirty_bss: Vec<u32> = Vec::new();
-            for r in rows {
-                dirty_bss
-                    .extend_from_slice(&r.delta.as_ref().expect("checked continuous").dirty_bss);
-            }
-            dirty_bss.sort_unstable();
-            dirty_bss.dedup();
-            (dirty_ues, dirty_bss)
-        } else {
-            (
-                (0..owners.len() as u32).collect(),
-                (0..n_bss as u32).collect(),
-            )
-        };
-        asm.stage_delta(Some(dirty));
-        for (lin, r) in self.lineages.iter_mut().zip(rows) {
-            *lin = r.delta.as_ref().map(|d| (d.ctx_id, d.seq));
-        }
-        self.primed = true;
     }
 }
 
@@ -741,12 +623,10 @@ mod tests {
             ShardRows {
                 links: vec![link(0, 10.0), link(1, 20.0), link(2, 30.0)],
                 row_start: vec![0, 2, 3],
-                delta: None,
             },
             ShardRows {
                 links: vec![link(3, 40.0)],
                 row_start: vec![0, 1],
-                delta: None,
             },
         ];
         let owners = vec![0, 1, 0];

@@ -23,12 +23,7 @@
 # fault-free protocol-backed engine bit-identical to the incremental
 # engine before any timing, then sweeps a drop x delay x crash grid and
 # fails when worst-case profit loss exceeds
-# DMRA_PROTO_MAX_PROFIT_LOSS_PCT — 60% by default), and the delta-solve
-# gate that writes BENCH_delta.json (asserts `--solve delta` outcomes
-# bit-identical on the 90%-stationary island mobility loop and the
-# metro churn loop before timing, then fails when either speedup over
-# the scratch epoch loop drops below DMRA_DELTA_SPEEDUP_MIN — 2x by
-# default).
+# DMRA_PROTO_MAX_PROFIT_LOSS_PCT — 60% by default).
 # Extra arguments are forwarded to `cargo bench` (e.g. a bench name
 # filter).
 set -euo pipefail
@@ -41,5 +36,4 @@ cargo run --release -p dmra-bench --bin figures -- bench_linkbatch
 cargo run --release -p dmra-bench --bin figures -- bench_shard
 cargo run --release -p dmra-bench --bin figures -- bench_solve
 cargo run --release -p dmra-bench --bin figures -- bench_proto
-cargo run --release -p dmra-bench --bin figures -- bench_delta
 cargo run --release -p dmra-bench --bin figures -- obs_overhead

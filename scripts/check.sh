@@ -75,7 +75,7 @@ echo "proto-engine smoke OK ($(wc -l <"$proto_record") records)"
 
 # Engine digest smoke: every seam of each simulator's one epoch loop —
 # scratch rows, sharded rows, the fault-free protocol matcher and the
-# delta solve path — must leave an epoch digest trail bit-identical to the
+# component solve path — must leave an epoch digest trail bit-identical to the
 # incremental engine's, driven from the CLI. Only the per-epoch streams
 # are compared (the proto engine also records per-round lines), and their
 # nondeterministic "aux" halves (wall-clock timings, shard loads) are
@@ -84,10 +84,10 @@ det() { grep '"stream": "\(sim\|mobility\)\.epoch"' "$1" | sed 's/, "aux": {.*}}
 for cmd in dynamic mobility; do
     if [[ "$cmd" == dynamic ]]; then
         base_args=(dynamic --rate 40 --epochs 200)
-        variants=("--engine scratch" "--engine proto" "--shards 2" "--solve delta")
+        variants=("--engine scratch" "--engine proto" "--shards 2" "--solve components")
     else
         base_args=(mobility --ues 200 --speed 12 --stationary 0.5 --policy sticky --epochs 40)
-        variants=("--engine scratch" "--shards 2")
+        variants=("--engine scratch" "--shards 2" "--solve components")
     fi
     ./target/debug/dmra "${base_args[@]}" --record "$det_base" >/dev/null
     epochs="$(det "$det_base" | wc -l)"

@@ -7,13 +7,19 @@
 //! allocators, seeds, arrival rates, holding distributions, a low-load
 //! long horizon and scratch-side thread counts, check task conservation,
 //! and separately pin the spatial candidate pruning bit-identical to the
-//! exhaustive O(U×B) scan at paper scale.
+//! exhaustive O(U×B) scan at paper scale and the bounded row cache
+//! bit-identical under eviction pressure.
 
-use dmra_core::{Allocator, CandidateScan, CoverageModel, Dmra, ProblemInstance, Threads};
+mod common;
+
+use common::islands;
+use dmra_core::{
+    Allocator, CandidateScan, CoverageModel, DeploymentContext, Dmra, ProblemInstance, Threads,
+};
 use dmra_radio::InterferenceModel;
 use dmra_sim::dynamic::{DynamicConfig, DynamicSimulator, HoldingDistribution};
 use dmra_sim::ScenarioConfig;
-use dmra_types::{BitsPerSec, BsId, UeId};
+use dmra_types::{BitsPerSec, BsId, Cru, RrbCount, UeId, UeSpec};
 
 fn config(rate: f64, seed: u64, epochs: usize) -> DynamicConfig {
     DynamicConfig {
@@ -215,4 +221,56 @@ fn min_rate_coverage_falls_back_to_exhaustive_scan() {
     )
     .unwrap();
     assert_identical_candidates(&auto, &exhaustive);
+}
+
+fn full_budgets(deployment: &ProblemInstance) -> (Vec<Vec<Cru>>, Vec<RrbCount>) {
+    (
+        deployment
+            .bss()
+            .iter()
+            .map(|b| b.cru_budget.clone())
+            .collect(),
+        deployment.bss().iter().map(|b| b.rrb_budget).collect(),
+    )
+}
+
+/// The bounded row cache: occupancy never exceeds the configured
+/// capacity after a rebuild, LRU evictions are counted, surviving slots
+/// keep hitting, and the built instance stays bit-identical to the
+/// from-scratch residual at every capacity.
+#[test]
+fn row_cache_capacity_bounds_occupancy_and_counts_evictions() {
+    let deployment = islands(7, 0).build().unwrap();
+    let (full_cru, full_rrb) = full_budgets(&deployment);
+    let batch: Vec<UeSpec> = islands(7, 8).build().unwrap().ues().to_vec();
+    let mut ctx = DeploymentContext::new(&deployment).with_row_cache_capacity(4);
+    for _epoch in 0..4 {
+        let scratch = deployment
+            .residual(&full_cru, &full_rrb, batch.clone())
+            .unwrap();
+        let inst = ctx
+            .epoch_instance(&full_cru, &full_rrb, batch.clone())
+            .unwrap();
+        for u in 0..inst.n_ues() {
+            let ue = UeId::new(u as u32);
+            assert_eq!(
+                inst.candidates(ue),
+                scratch.candidates(ue),
+                "UE {u} row diverged under eviction pressure"
+            );
+        }
+        assert!(
+            ctx.row_cache_occupied().unwrap() <= 4,
+            "occupancy {} exceeds capacity 4",
+            ctx.row_cache_occupied().unwrap()
+        );
+    }
+    // 8-UE batches against 4 slots: every epoch evicts, yet the
+    // surviving slots keep hitting.
+    assert!(
+        ctx.row_cache_evictions().unwrap() > 0,
+        "no evictions counted"
+    );
+    let (hits, _misses) = ctx.row_cache_stats().unwrap();
+    assert!(hits > 0, "eviction pressure wiped out every hit");
 }

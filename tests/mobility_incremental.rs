@@ -8,11 +8,16 @@
 //! `MobilityOutcome`s, byte for byte — across reallocation policies,
 //! allocators, seeds, stationary fractions and scratch-side thread
 //! counts, including a >1024-UE population that exercises the parallel
-//! per-epoch row rebuild.
+//! per-epoch row rebuild, and a 2000-epoch soak on a grid of coverage
+//! islands that also compares the recorder det-projections.
 
+mod common;
+
+use dmra::obs::{det_projection, Recorder, SharedBuf};
 use dmra_core::{Allocator, Dmra, Threads};
-use dmra_sim::mobility::{MobilityConfig, MobilityPolicy, MobilitySimulator};
+use dmra_sim::mobility::{MobilityConfig, MobilityOutcome, MobilityPolicy, MobilitySimulator};
 use dmra_sim::ScenarioConfig;
+use std::sync::Arc;
 
 fn config(seed: u64, policy: MobilityPolicy, stationary: f64) -> MobilityConfig {
     MobilityConfig {
@@ -84,4 +89,72 @@ fn incremental_engine_matches_scratch_above_the_parallel_rebuild_threshold() {
     cfg.epochs = 4;
     let sim = MobilitySimulator::new(cfg);
     assert_eq!(sim.run().unwrap(), sim.run_scratch().unwrap());
+}
+
+/// Records one mobility run into an in-memory buffer; returns the
+/// outcome and the full JSONL flight-record document.
+fn record_mobility(
+    cfg: MobilityConfig,
+    allocator: Box<dyn Allocator>,
+    scratch: bool,
+) -> (MobilityOutcome, String) {
+    let buf = SharedBuf::new();
+    let recorder = Arc::new(Recorder::to_writer(Box::new(buf.clone()), 1));
+    let sim = MobilitySimulator::new(cfg)
+        .with_allocator(allocator)
+        .with_observer(recorder.clone());
+    let outcome = if scratch {
+        sim.run_scratch().unwrap()
+    } else {
+        sim.run().unwrap()
+    };
+    assert!(recorder.finish(), "in-memory recorder cannot fail");
+    (outcome, buf.contents())
+}
+
+/// A 2000-epoch soak of the row-cached incremental engine against the
+/// exhaustive-scan scratch specification on the island grid, with 90% of
+/// the population pinned (so most rows hit the cache most epochs):
+/// 3 seeds × {DMRA, NonCo, GreedyProfit} × telemetry {off, on}. Outcomes
+/// and det-projections (including per-epoch allocation digests) must
+/// match byte for byte.
+#[test]
+fn soak_incremental_matches_scratch_across_allocators_seeds_and_telemetry() {
+    type Mk = fn() -> Box<dyn Allocator>;
+    let allocators: [(&str, Mk); 3] = [
+        ("Dmra", || Box::new(Dmra::default())),
+        ("NonCo", || Box::new(dmra_baselines::NonCo::default())),
+        ("GreedyProfit", || {
+            Box::new(dmra_baselines::GreedyProfit::default())
+        }),
+    ];
+    for (name, alloc) in allocators {
+        for seed in [3u64, 8, 21] {
+            for telemetry in [false, true] {
+                dmra::obs::set_enabled(telemetry);
+                let cfg = MobilityConfig {
+                    scenario: common::islands(seed, 60),
+                    speed_mps: (5.0, 15.0),
+                    epoch_seconds: 10.0,
+                    epochs: 2000,
+                    seed,
+                    policy: MobilityPolicy::FullReallocation,
+                    stationary_fraction: 0.9,
+                };
+                let (incremental_out, incremental_doc) =
+                    record_mobility(cfg.clone(), alloc(), false);
+                let (scratch_out, scratch_doc) = record_mobility(cfg, alloc(), true);
+                assert_eq!(
+                    incremental_out, scratch_out,
+                    "{name} diverged at seed {seed}, telemetry {telemetry}"
+                );
+                assert_eq!(
+                    det_projection(&incremental_doc),
+                    det_projection(&scratch_doc),
+                    "{name} det-projection diverged at seed {seed}, telemetry {telemetry}"
+                );
+            }
+        }
+    }
+    dmra::obs::set_enabled(false);
 }
