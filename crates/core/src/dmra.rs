@@ -172,17 +172,20 @@ impl Dmra {
     /// alongside the allocation.
     ///
     /// This is the optimized execution: all matcher state lives in dense
-    /// `Vec`s indexed by raw BS/UE/service indices (flattened remaining
-    /// resources, flattened candidate windows pruned by swap-with-tail,
-    /// reusable proposal buckets keyed `bs * n_services + service`). It is
-    /// bit-identical to [`Dmra::solve_reference`] — every selection rule
-    /// has a unique key, so none of the reorderings the dense layout
-    /// introduces can change a decision — and the test suite asserts the
-    /// full [`DmraOutcome`] equality on every scenario it touches.
+    /// `Vec`s over *local* indices — the BSs some candidate row names,
+    /// numbered in ascending global order — with flattened remaining
+    /// resources, candidate windows pruned by swap-with-tail, a worklist
+    /// of the still-unmatched UEs and one best-proposal cell per
+    /// `(bs, service)` slot. It is bit-identical to
+    /// [`Dmra::solve_reference`] — every selection rule has a unique key,
+    /// so none of the reorderings the dense layout introduces can change a
+    /// decision (DESIGN.md §8) — and the test suite asserts the full
+    /// [`DmraOutcome`] equality on every scenario it touches.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::NonTermination`] if `max_iterations` elapses — this
+    /// Returns [`Error::InvalidConfig`] for a non-finite `ρ`, and
+    /// [`Error::NonTermination`] if `max_iterations` elapses — the latter
     /// indicates a bug, as the algorithm provably terminates.
     pub fn solve(&self, instance: &ProblemInstance) -> Result<DmraOutcome> {
         self.solve_with_workspace(instance, &mut DmraWorkspace::default())
@@ -205,13 +208,15 @@ impl Dmra {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::NonTermination`] if `max_iterations` elapses — this
+    /// Returns [`Error::InvalidConfig`] for a non-finite `ρ`, and
+    /// [`Error::NonTermination`] if `max_iterations` elapses — the latter
     /// indicates a bug, as the algorithm provably terminates.
     pub fn solve_with_workspace(
         &self,
         instance: &ProblemInstance,
         ws: &mut DmraWorkspace,
     ) -> Result<DmraOutcome> {
+        check_rho(&self.config)?;
         if self.effective_solve_mode(instance) != SolveMode::Monolithic {
             let decomp = decompose(instance);
             record_decomposition(&decomp);
@@ -223,8 +228,9 @@ impl Dmra {
         self.solve_monolithic(instance, ws)
     }
 
-    /// The original whole-instance dense execution (one [`match_loop`]
-    /// over global indices).
+    /// The whole-instance dense execution: the one-component case of
+    /// [`Dmra::solve_decomposed`], whose component is every UE and every
+    /// BS some candidate row names.
     fn solve_monolithic(
         &self,
         instance: &ProblemInstance,
@@ -237,12 +243,17 @@ impl Dmra {
         let solve_started = obs_on.then(std::time::Instant::now);
 
         let n_ues = instance.n_ues();
-        let n_bss = instance.n_bss();
         let n_svcs = instance.catalog().len() as usize;
 
-        load_monolithic(instance, ws);
-
-        let run = match_loop(&self.config, n_ues, n_bss, n_svcs, ws)?;
+        let mut bss = std::mem::take(&mut ws.bss);
+        referenced_bss(instance, &mut bss, &mut ws.bs_mark);
+        load(instance, 0..n_ues as u32, &bss, ws);
+        let run = match_loop(&self.config, n_ues, bss.len(), n_svcs, ws);
+        ws.bss = bss;
+        let mut run = run?;
+        for bs in run.assigned.iter_mut().flatten() {
+            *bs = BsId::new(ws.bss[bs.as_usize()]);
+        }
 
         if obs_on {
             record_solve(&run, n_ues, solve_started);
@@ -271,10 +282,8 @@ impl Dmra {
     /// at 0.99× for dynamic-regime arrival batches). Above it they fan
     /// out over `par_map_indexed_scratch` workers, outcome-transparent by
     /// the `dmra-par` contract (outputs in index order, any thread
-    /// count); either path's scratch is a reusable workspace plus a
-    /// global→local BS index map whose entries are always written before
-    /// read for the component at hand. The chosen path is recorded as
-    /// `core.solve_serial` / `core.solve_fanout`.
+    /// count), each on a workspace of its own. The chosen path is
+    /// recorded as `core.solve_serial` / `core.solve_fanout`.
     fn solve_decomposed(
         &self,
         instance: &ProblemInstance,
@@ -284,33 +293,28 @@ impl Dmra {
         let obs_on = dmra_obs::enabled();
         let solve_started = obs_on.then(std::time::Instant::now);
         let n_ues = instance.n_ues();
-        let n_bss = instance.n_bss();
         let n_svcs = instance.catalog().len() as usize;
         let config = &self.config;
+        let solve_one = |ws: &mut DmraWorkspace, comp: &Component| {
+            load(instance, comp.ues.iter().copied(), &comp.bss, ws);
+            match_loop(config, comp.ues.len(), comp.bss.len(), n_svcs, ws)
+        };
 
         let total_ues = n_ues - decomp.cloud_only.len();
         let serial = total_ues < SOLVE_MIN_FANOUT_UES || self.solve_threads.resolve() <= 1;
         record_solve_path(serial);
         let runs: Vec<Result<MatchRun>> = if serial {
-            let mut bs_local = vec![0u32; n_bss];
             decomp
                 .components
                 .iter()
-                .map(|comp| {
-                    load_component(instance, comp, ws, &mut bs_local);
-                    match_loop(config, comp.ues.len(), comp.bss.len(), n_svcs, ws)
-                })
+                .map(|comp| solve_one(ws, comp))
                 .collect()
         } else {
             par_map_indexed_scratch(
                 self.solve_threads,
                 decomp.components.len(),
-                || (DmraWorkspace::default(), vec![0u32; n_bss]),
-                |(ws, bs_local), c| {
-                    let comp = &decomp.components[c];
-                    load_component(instance, comp, ws, bs_local);
-                    match_loop(config, comp.ues.len(), comp.bss.len(), n_svcs, ws)
-                },
+                DmraWorkspace::default,
+                |ws, c| solve_one(ws, &decomp.components[c]),
             )
         };
         let merged = merge_component_runs(n_ues, decomp, runs)?;
@@ -330,9 +334,11 @@ impl Dmra {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::NonTermination`] if `max_iterations` elapses — this
+    /// Returns [`Error::InvalidConfig`] for a non-finite `ρ`, and
+    /// [`Error::NonTermination`] if `max_iterations` elapses — the latter
     /// indicates a bug, as the algorithm provably terminates.
     pub fn solve_reference(&self, instance: &ProblemInstance) -> Result<DmraOutcome> {
+        check_rho(&self.config)?;
         let n_ues = instance.n_ues();
         let mut state = MatchState::new(instance);
         // Each UE's live candidate set, pruned monotonically.
@@ -455,11 +461,12 @@ impl Allocator for Dmra {
 
     /// # Panics
     ///
-    /// Panics if the iteration bound is exhausted, which would indicate a
-    /// bug in the matcher (the algorithm provably terminates).
+    /// Panics on a non-finite `ρ`, or if the iteration bound is exhausted,
+    /// which would indicate a bug in the matcher (the algorithm provably
+    /// terminates).
     fn allocate(&self, instance: &ProblemInstance) -> Allocation {
         self.solve(instance)
-            .expect("DMRA terminates within its iteration bound")
+            .expect("DMRA solves with a finite rho within its iteration bound")
             .allocation
     }
 
@@ -478,16 +485,25 @@ impl Allocator for Dmra {
 ///
 /// Every field is sized/overwritten at the start of a solve, so a
 /// workspace can be reused freely across instances of different shapes;
-/// it never influences the outcome. The proposal buckets rely on the
-/// solver's drain discipline (all buckets empty between solves), which a
-/// `debug_assert` re-checks on entry.
+/// it never influences the outcome. The one exception is the table of
+/// best-proposal cells, which only ever grows: it relies on the solver's
+/// drain discipline (every cell is empty between solves, because each
+/// iteration empties the cells it filled), which a `debug_assert`
+/// re-checks on entry.
 #[derive(Debug, Clone, Default)]
 pub struct DmraWorkspace {
-    /// Remaining CRUs, flattened `[bs * n_svcs + svc]`.
+    /// The monolithic solve's local BSs: the global ids some candidate
+    /// row names, ascending (local id = position).
+    bss: Vec<u32>,
+    /// One bit per global BS, scratch of `referenced_bss`.
+    bs_mark: Vec<u64>,
+    /// Global → local BS ids; only the loaded BSs' entries are meaningful.
+    bs_local: Vec<u32>,
+    /// Remaining CRUs, flattened `[bs * n_svcs + svc]` over local BSs.
     rem_cru: Vec<u32>,
-    /// Remaining RRBs per BS.
+    /// Remaining RRBs per local BS.
     rem_rrb: Vec<u32>,
-    /// Flattened per-UE candidate windows.
+    /// Flattened per-UE candidate windows (local BS ids).
     cands: Vec<DenseCand>,
     /// Window start of each UE in `cands`.
     start: Vec<usize>,
@@ -499,11 +515,12 @@ pub struct DmraWorkspace {
     cru_demand: Vec<u32>,
     /// `f_u` per UE.
     f_u: Vec<u32>,
-    /// Cloud-forwarded flags per UE.
-    cloud: Vec<bool>,
-    /// Proposal buckets, one per `(bs, service)` slot.
-    buckets: Vec<Vec<DenseProposal>>,
-    /// Bucket slots filled in the current iteration.
+    /// The worklist: UEs neither accepted nor cloud-forwarded, ascending.
+    active: Vec<u32>,
+    /// The best proposal received this iteration, one cell per
+    /// `(bs, service)` slot (`pref == 0`: no proposal).
+    cells: Vec<DenseProposal>,
+    /// Cells filled in the current iteration.
     touched: Vec<usize>,
     /// Per-BS winner scratch for the admission step.
     winners: Vec<DenseProposal>,
@@ -519,15 +536,14 @@ impl AllocatorSession for DmraSession {
     fn allocate(&mut self, instance: &ProblemInstance) -> Allocation {
         self.dmra
             .solve_with_workspace(instance, &mut self.workspace)
-            .expect("DMRA terminates within its iteration bound")
+            .expect("DMRA solves with a finite rho within its iteration bound")
             .allocation
     }
 }
 
 /// Everything one dense [`match_loop`] run produces. Indices are *local*
-/// to the run: the monolithic path runs over global indices (local ==
-/// global), a component run over the component's ascending UE/BS lists
-/// (remapped during the merge).
+/// to the run — the loaded UE/BS lists' positions — and are mapped back to
+/// global ids by the caller.
 #[derive(Debug)]
 struct MatchRun {
     /// Per-UE assignment (local BS ids); `None` = cloud or unreachable.
@@ -548,7 +564,7 @@ struct MatchRun {
     assigned_total: usize,
     /// Total UEs cloud-forwarded.
     cloud_total: usize,
-    /// Whether the workspace's bucket table was already large enough
+    /// Whether the workspace's cell table was already large enough
     /// (telemetry only).
     workspace_reused: bool,
 }
@@ -567,20 +583,73 @@ impl MatchRun {
     }
 }
 
-/// Loads the dense caches of a whole-instance run into `ws`: global UE/BS
-/// indices are the run's local indices.
-fn load_monolithic(instance: &ProblemInstance, ws: &mut DmraWorkspace) {
-    let n_ues = instance.n_ues();
-    let ues = instance.ues();
+/// Rejects a `ρ` that is NaN or infinite. Eq. (17) compares `p + ρ/denom`
+/// values, and a NaN fails every comparison, so the arg-min would fall back
+/// to window order — which pruning reorders differently in the dense and
+/// the reference solver.
+fn check_rho(config: &DmraConfig) -> Result<()> {
+    if config.rho.is_finite() {
+        Ok(())
+    } else {
+        Err(Error::InvalidConfig(format!(
+            "DMRA rho must be finite, got {}",
+            config.rho
+        )))
+    }
+}
 
+/// Collects into `out`, ascending, the BSs that some candidate row of
+/// `instance` names — the monolithic solve's local BSs. `mark` is bitmap
+/// scratch, one bit per global BS, so the pass costs `O(links + n_bss/64)`.
+fn referenced_bss(instance: &ProblemInstance, out: &mut Vec<u32>, mark: &mut Vec<u64>) {
+    mark.clear();
+    mark.resize(instance.n_bss().div_ceil(64), 0);
+    for link in &instance.links {
+        let b = link.bs.as_usize();
+        mark[b / 64] |= 1 << (b % 64);
+    }
+    out.clear();
+    for (w, &word) in mark.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            out.push((w * 64) as u32 + bits.trailing_zeros());
+            bits &= bits - 1;
+        }
+    }
+}
+
+/// Loads one sub-instance into the dense caches of `ws`: the UEs `ues`
+/// and the BSs `bss`, both ascending, where `bss` is exactly the set of
+/// BSs the UEs' candidate rows name. Local ids are positions in the two
+/// lists; BS ids are remapped through `ws.bs_local`, whose entries are
+/// written for every BS of `bss` before any read, so it is reused across
+/// loads without clearing. The monolithic solve loads every UE with the
+/// BSs of [`referenced_bss`]; a component solve loads the component.
+///
+/// Because both lists are ascending, local index order preserves global
+/// order — every tie-break (`c.bs < best_bs`, the UE-id term of the
+/// preference key, the `touched` slot sort) resolves exactly as it would
+/// over global ids. All per-UE values (`f_u`, demands, prices) are the
+/// instance-global ones.
+fn load(
+    instance: &ProblemInstance,
+    ues: impl Iterator<Item = u32>,
+    bss: &[u32],
+    ws: &mut DmraWorkspace,
+) {
+    if ws.bs_local.len() < instance.n_bss() {
+        ws.bs_local.resize(instance.n_bss(), 0);
+    }
     // Dense remaining-resource caches, flattened `[bs * n_svcs + svc]`
     // (`Cru` and `RrbCount` are plain u32 wrappers, so raw u32
     // arithmetic reproduces `MatchState` exactly).
     ws.rem_cru.clear();
     ws.rem_rrb.clear();
-    for bs in instance.bss() {
+    for (li, &gb) in bss.iter().enumerate() {
+        let bs = &instance.bss()[gb as usize];
         ws.rem_cru.extend(bs.cru_budget.iter().map(|c| c.get()));
         ws.rem_rrb.push(bs.rrb_budget.get());
+        ws.bs_local[gb as usize] = li as u32;
     }
 
     // Flattened candidate windows: UE `u` owns
@@ -588,82 +657,44 @@ fn load_monolithic(instance: &ProblemInstance, ws: &mut DmraWorkspace) {
     // entry to the window tail and shrinks the window. The arg-min in the
     // match loop has a unique (value, bs) key per entry, so the reordering
     // never changes which candidate is selected.
-    ws.cands.clear();
-    ws.start.clear();
-    ws.len.clear();
-    for u in 0..n_ues {
-        let row = instance.candidates(UeId::new(u as u32));
-        ws.start.push(ws.cands.len());
-        ws.len.push(row.len());
-        ws.cands.extend(row.iter().map(|l| DenseCand {
-            bs: l.bs.index(),
-            n_rrbs: l.n_rrbs.get(),
-            price: l.price.get(),
-            same_sp: l.same_sp,
-        }));
-    }
-    ws.svc.clear();
-    ws.svc.extend(ues.iter().map(|ue| ue.service.as_usize()));
-    ws.cru_demand.clear();
-    ws.cru_demand
-        .extend(ues.iter().map(|ue| ue.cru_demand.get()));
-    ws.f_u.clear();
-    ws.f_u
-        .extend((0..n_ues).map(|u| instance.f_u(UeId::new(u as u32))));
-}
-
-/// Loads the dense caches of one component's sub-instance into `ws`,
-/// remapping BS indices through `bs_local` (global → local; entries are
-/// written for every BS of this component before any read, so the map can
-/// be reused across components without clearing).
-///
-/// Because `comp.ues` and `comp.bss` are ascending, local index order
-/// preserves global order — every tie-break (`c.bs < best_bs`, the
-/// `Reverse(ue)` preference term, the `touched` slot sort) resolves
-/// exactly as it does in the monolithic run. All per-UE values (`f_u`,
-/// demands, prices) are the instance-global ones; `f_u` equals the UE's
-/// candidate-row length, which is entirely intra-component.
-fn load_component(
-    instance: &ProblemInstance,
-    comp: &Component,
-    ws: &mut DmraWorkspace,
-    bs_local: &mut [u32],
-) {
-    let ues = instance.ues();
-    ws.rem_cru.clear();
-    ws.rem_rrb.clear();
-    for (li, &gb) in comp.bss.iter().enumerate() {
-        let bs = &instance.bss()[gb as usize];
-        ws.rem_cru.extend(bs.cru_budget.iter().map(|c| c.get()));
-        ws.rem_rrb.push(bs.rrb_budget.get());
-        bs_local[gb as usize] = li as u32;
-    }
+    let ue_specs = instance.ues();
     ws.cands.clear();
     ws.start.clear();
     ws.len.clear();
     ws.svc.clear();
     ws.cru_demand.clear();
     ws.f_u.clear();
-    for &gu in &comp.ues {
+    for gu in ues {
         let row = instance.candidates(UeId::new(gu));
         ws.start.push(ws.cands.len());
         ws.len.push(row.len());
         ws.cands.extend(row.iter().map(|l| DenseCand {
-            bs: bs_local[l.bs.as_usize()],
+            bs: ws.bs_local[l.bs.as_usize()],
             n_rrbs: l.n_rrbs.get(),
             price: l.price.get(),
             same_sp: l.same_sp,
         }));
-        let u = gu as usize;
-        ws.svc.push(ues[u].service.as_usize());
-        ws.cru_demand.push(ues[u].cru_demand.get());
+        let ue = &ue_specs[gu as usize];
+        ws.svc.push(ue.service.as_usize());
+        ws.cru_demand.push(ue.cru_demand.get());
         ws.f_u.push(instance.f_u(UeId::new(gu)));
     }
 }
 
 /// The dense deferred-acceptance loop of Algorithm 1, running over the
 /// `n_ues × n_bss × n_svcs` sub-instance currently loaded in `ws` (see
-/// [`load_monolithic`] / [`load_component`]).
+/// [`load`]). Its cost follows the work in play:
+///
+/// * the UE side walks only the worklist of unmatched UEs (`active`,
+///   ascending), from which a UE leaves when it is accepted or
+///   cloud-forwarded — a matched UE never proposes again, and the UE side
+///   reads no state another UE of the same iteration writes, so the
+///   walk's order and extent cannot change a decision;
+/// * each `(bs, service)` slot keeps only its best proposal so far, a
+///   running maximum of the packed preference key ([`pack_pref`]). The BS
+///   side reads nothing of a slot but its max-preference proposer, and
+///   the keys are unique, so the running maximum is the bucket maximum;
+///   losers stay on the worklist and propose again next iteration.
 fn match_loop(
     config: &DmraConfig,
     n_ues: usize,
@@ -671,21 +702,27 @@ fn match_loop(
     n_svcs: usize,
     ws: &mut DmraWorkspace,
 ) -> Result<MatchRun> {
-    let rem_cru = &mut ws.rem_cru;
-    let rem_rrb = &mut ws.rem_rrb;
-    let cands = &mut ws.cands;
-    let start = &ws.start;
-    let len = &mut ws.len;
-    let svc = &ws.svc;
-    let cru_demand = &ws.cru_demand;
-    let f_u = &ws.f_u;
+    let DmraWorkspace {
+        rem_cru,
+        rem_rrb,
+        cands,
+        start,
+        len,
+        svc,
+        cru_demand,
+        f_u,
+        active,
+        cells,
+        touched,
+        winners,
+        ..
+    } = ws;
 
     // `assigned` moves into the outcome's `Allocation`, so it is the
     // one per-solve allocation that cannot live in the workspace.
     let mut assigned: Vec<Option<BsId>> = vec![None; n_ues];
-    ws.cloud.clear();
-    ws.cloud.resize(n_ues, false);
-    let cloud = &mut ws.cloud;
+    active.clear();
+    active.extend(0..n_ues as u32);
     let mut proposals_total = 0u64;
     let mut acceptances: Vec<usize> = Vec::new();
     let mut unmatched: Vec<usize> = Vec::new();
@@ -694,29 +731,28 @@ fn match_loop(
     let mut assigned_total = 0usize;
     let mut cloud_total = 0usize;
 
-    // Reusable proposal buckets, one per (bs, service) pair; `touched`
-    // lists the buckets filled this iteration (sorted before the BS
-    // side so it walks (bs, service) in exactly the order the
-    // reference's nested BTreeMaps would). Every bucket is empty
-    // between solves (each iteration drains the buckets it touched),
-    // so reuse only needs to grow the slot table.
-    let workspace_reused = ws.buckets.len() >= n_bss * n_svcs;
+    // One best-proposal cell per (bs, service) slot; `touched` lists the
+    // cells filled this iteration (sorted before the BS side so it walks
+    // (bs, service) in exactly the order the reference's nested
+    // BTreeMaps would). Every cell is empty between solves (the BS side
+    // empties each cell it reads), so reuse only needs to grow the table.
+    let workspace_reused = cells.len() >= n_bss * n_svcs;
     if !workspace_reused {
-        ws.buckets.resize_with(n_bss * n_svcs, Vec::new);
+        cells.resize(n_bss * n_svcs, DenseProposal::default());
     }
-    debug_assert!(ws.buckets.iter().all(Vec::is_empty));
-    let buckets = &mut ws.buckets;
-    ws.touched.clear();
-    let touched = &mut ws.touched;
-    ws.winners.clear();
-    let winners = &mut ws.winners;
+    debug_assert!(cells.iter().all(|c| c.pref == 0));
+    touched.clear();
+    winners.clear();
     let mut final_iterations = None;
 
     for iteration in 1..=config.max_iterations {
         // ---- UE side: lines 3–10 ----
-        let mut any = false;
-        for u in 0..n_ues {
-            if assigned[u].is_some() || cloud[u] {
+        // Compacts the worklist in place: UEs accepted last iteration and
+        // UEs forwarded to the cloud now drop out; proposers stay.
+        let mut kept = 0usize;
+        for k in 0..active.len() {
+            let u = active[k] as usize;
+            if assigned[u].is_some() {
                 continue;
             }
             let s = svc[u];
@@ -724,15 +760,13 @@ fn match_loop(
                 if len[u] == 0 {
                     // Line 1 / fallthrough of lines 4–10: no BS can
                     // serve this UE; forward to the remote cloud.
-                    cloud[u] = true;
                     cloud_total += 1;
                     break;
                 }
                 // Eq. (17) arg-min over the live window.
                 let window = &cands[start[u]..start[u] + len[u]];
                 let mut best_i = 0usize;
-                let mut best_v = f64::INFINITY;
-                let mut best_bs = u32::MAX;
+                let mut best_key = u128::MAX;
                 for (i, c) in window.iter().enumerate() {
                     let b = c.bs as usize;
                     let denom = f64::from(rem_cru[b * n_svcs + s]) + f64::from(rem_rrb[b]);
@@ -741,34 +775,38 @@ fn match_loop(
                     } else {
                         c.price + config.rho / denom
                     };
-                    if v < best_v || (v == best_v && c.bs < best_bs) {
-                        best_i = i;
-                        best_v = v;
-                        best_bs = c.bs;
-                    }
+                    let key = eq17_key(v, c.bs);
+                    let better = key < best_key;
+                    best_i = if better { i } else { best_i };
+                    best_key = if better { key } else { best_key };
                 }
                 let c = cands[start[u] + best_i];
                 let b = c.bs as usize;
-                if rem_cru[b * n_svcs + s] >= cru_demand[u] && rem_rrb[b] >= c.n_rrbs {
-                    let slot = b * n_svcs + s;
-                    if buckets[slot].is_empty() {
-                        touched.push(slot);
-                    }
+                let slot = b * n_svcs + s;
+                if rem_cru[slot] >= cru_demand[u] && rem_rrb[b] >= c.n_rrbs {
                     // The proposal carries everything the BS side
                     // needs, so no per-winner candidate lookups later.
-                    buckets[slot].push(DenseProposal {
+                    let proposal = DenseProposal {
+                        pref: pack_pref(
+                            config.same_sp_preference && c.same_sp,
+                            f_u[u],
+                            c.n_rrbs + cru_demand[u],
+                            u as u32,
+                        ),
                         ue: u as u32,
                         n_rrbs: c.n_rrbs,
                         cru_demand: cru_demand[u],
-                        pref: (
-                            config.same_sp_preference && c.same_sp,
-                            Reverse(f_u[u]),
-                            Reverse(c.n_rrbs + cru_demand[u]),
-                            Reverse(u as u32),
-                        ),
-                    });
+                    };
+                    let cell = &mut cells[slot];
+                    if cell.pref == 0 {
+                        touched.push(slot);
+                    }
+                    if proposal.pref > cell.pref {
+                        *cell = proposal;
+                    }
                     proposals_total += 1;
-                    any = true;
+                    active[kept] = u as u32;
+                    kept += 1;
                     break;
                 }
                 // Line 10: the BS can never serve this UE again.
@@ -777,7 +815,8 @@ fn match_loop(
                 cands.swap(start[u] + best_i, start[u] + len[u]);
             }
         }
-        if !any {
+        active.truncate(kept);
+        if kept == 0 {
             final_iterations = Some(iteration);
             break;
         }
@@ -790,16 +829,8 @@ fn match_loop(
             let bs = touched[t] / n_svcs;
             winners.clear();
             while t < touched.len() && touched[t] / n_svcs == bs {
-                // One winner per service: the max-preference proposer
-                // (the key embeds the UE id, so it is unique).
-                let bucket = &buckets[touched[t]];
-                let mut best = bucket[0];
-                for p in &bucket[1..] {
-                    if p.pref > best.pref {
-                        best = *p;
-                    }
-                }
-                winners.push(best);
+                // One winner per service: the slot's best proposer.
+                winners.push(std::mem::take(&mut cells[touched[t]]));
                 t += 1;
             }
             // Radio admission: lines 22–25. Remove least-preferred
@@ -821,9 +852,6 @@ fn match_loop(
                 assigned[u] = Some(BsId::new(bs as u32));
                 accepted_this_iteration += 1;
             }
-        }
-        for &slot in touched.iter() {
-            buckets[slot].clear();
         }
         touched.clear();
         assigned_total += accepted_this_iteration;
@@ -1002,21 +1030,53 @@ struct DenseCand {
     same_sp: bool,
 }
 
-/// The BS-side preference key of [`bs_preference_key`], precomputed:
-/// larger is better, and the embedded UE id makes it unique.
-type DensePref = (bool, Reverse<u32>, Reverse<u32>, Reverse<u32>);
+/// The UE-side selection key of one candidate: its Eq. (17) value `v` and
+/// its BS id packed into one integer that orders exactly as the
+/// reference's comparison, `v` first (`partial_cmp`), then the smaller BS
+/// id. Adding `+0.0` turns `-0.0` into `+0.0`, which `<` and `==` treat
+/// as equal; the bit flips map IEEE order onto unsigned order (a negative
+/// value has its magnitude bits inverted, a non-negative one its sign bit
+/// set). `v` is never NaN: `ρ` is finite ([`check_rho`]), prices are
+/// finite and a drained BS scores `+∞` without a division.
+///
+/// Compared as one integer, the arg-min compiles to conditional moves. The
+/// `(v, bs)` comparison branched on data that changes every iteration,
+/// and on the paper grid at 2 000 UEs its mispredictions cost about 15%
+/// of the whole solve.
+fn eq17_key(v: f64, bs: u32) -> u128 {
+    let bits = (v + 0.0).to_bits();
+    let ordered = bits ^ ((((bits as i64) >> 63) as u64) >> 1) ^ (1 << 63);
+    u128::from(ordered) << 32 | u128::from(bs)
+}
+
+/// The BS-side preference key of [`bs_preference_key`] packed into one
+/// integer with the same order: larger is better, and the embedded UE id
+/// makes it unique. Bit 97 is always set, so a real key is never 0, the
+/// empty-cell marker. Below it, from the most significant end: the same-SP
+/// flag (bit 96), then `!f_u`, `!footprint` and `!ue` in 32 bits each —
+/// the bitwise complement of a `u32` orders exactly as its `Reverse`, so
+/// the packed integers compare as the `(bool, Reverse<u32>, Reverse<u32>,
+/// Reverse<u32>)` tuples do.
+fn pack_pref(same_sp: bool, f_u: u32, footprint: u32, ue: u32) -> u128 {
+    1 << 97
+        | u128::from(same_sp) << 96
+        | u128::from(!f_u) << 64
+        | u128::from(!footprint) << 32
+        | u128::from(!ue)
+}
 
 /// A proposal in the dense solver, carrying everything the BS side needs.
-#[derive(Debug, Clone, Copy)]
+/// The default value (`pref == 0`) is the empty best-proposal cell.
+#[derive(Debug, Clone, Copy, Default)]
 struct DenseProposal {
+    /// Packed BS preference for this proposer ([`pack_pref`]).
+    pref: u128,
     /// Raw UE index of the proposer.
     ue: u32,
     /// RRB demand at the proposed BS.
     n_rrbs: u32,
     /// CRU demand of the proposer's service request.
     cru_demand: u32,
-    /// Precomputed BS preference for this proposer.
-    pref: DensePref,
 }
 
 /// Mutable per-BS resource state shared by the matcher phases.
@@ -1597,6 +1657,132 @@ mod tests {
             .unwrap();
         assert_eq!(comp.iterations, 1);
         assert!(comp.acceptances.is_empty());
+    }
+
+    #[test]
+    fn non_finite_rho_is_rejected_by_both_solvers() {
+        let inst = two_sp_instance();
+        for rho in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let dmra = Dmra::new(DmraConfig::paper_defaults().with_rho(rho));
+            for mode in [SolveMode::Monolithic, SolveMode::Components] {
+                let err = dmra.with_solve_mode(mode).solve(&inst).unwrap_err();
+                assert!(
+                    matches!(err, Error::InvalidConfig(_)),
+                    "solve, rho {rho}: {err}"
+                );
+            }
+            let err = dmra.solve_reference(&inst).unwrap_err();
+            assert!(
+                matches!(err, Error::InvalidConfig(_)),
+                "reference, rho {rho}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn packed_preference_orders_as_the_key_tuple() {
+        let values = [0u32, 1, 2, 7, u32::MAX - 1, u32::MAX];
+        let mut keys = Vec::new();
+        for same_sp in [false, true] {
+            for &f_u in &values {
+                for &footprint in &values {
+                    for &ue in &values {
+                        let tuple = (same_sp, Reverse(f_u), Reverse(footprint), Reverse(ue));
+                        keys.push((tuple, pack_pref(same_sp, f_u, footprint, ue)));
+                    }
+                }
+            }
+        }
+        for (a_tuple, a_packed) in &keys {
+            assert_ne!(*a_packed, 0, "a real key collides with the empty cell");
+            for (b_tuple, b_packed) in &keys {
+                assert_eq!(a_tuple.cmp(b_tuple), a_packed.cmp(b_packed));
+            }
+        }
+    }
+
+    #[test]
+    fn eq17_key_orders_as_the_reference_comparison() {
+        let values = [
+            f64::NEG_INFINITY,
+            -1.0e300,
+            -3.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            1.0 + f64::EPSILON,
+            2.5e10,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        let reference = |(va, ba): (f64, u32), (vb, bb): (f64, u32)| {
+            va.partial_cmp(&vb).unwrap().then(ba.cmp(&bb))
+        };
+        for &va in &values {
+            for &vb in &values {
+                for (ba, bb) in [(0, 0), (0, 1), (1, 0), (7, u32::MAX)] {
+                    assert_eq!(
+                        eq17_key(va, ba).cmp(&eq17_key(vb, bb)),
+                        reference((va, ba), (vb, bb)),
+                        "({va}, {ba}) vs ({vb}, {bb})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn monolithic_solve_maps_local_bs_ids_back_to_global() {
+        // BS 0 and BS 2 cover nobody, so the solve loads only BS 1 (local
+        // id 0); the outcome must name it by its global id.
+        let sps = vec![
+            SpSpec::new(SpId::new(0), Money::new(10.0), Money::new(1.0)),
+            SpSpec::new(SpId::new(1), Money::new(10.0), Money::new(1.0)),
+        ];
+        let mk_bs = |id: u32, x: f64| {
+            BsSpec::new(
+                dmra_types::BsId::new(id),
+                SpId::new(id % 2),
+                Point::new(x, 0.0),
+                vec![Cru::new(100)],
+                Hertz::from_mhz(10.0),
+                dmra_types::RrbCount::new(55),
+            )
+        };
+        let mk_ue = |id: u32| {
+            UeSpec::new(
+                dmra_types::UeId::new(id),
+                SpId::new(id % 2),
+                Point::new(100.0 + f64::from(id), 0.0),
+                ServiceId::new(0),
+                Cru::new(4),
+                BitsPerSec::from_mbps(3.0),
+                Dbm::new(10.0),
+            )
+        };
+        let inst = ProblemInstance::build(
+            sps,
+            vec![mk_bs(0, -100_000.0), mk_bs(1, 0.0), mk_bs(2, 100_000.0)],
+            vec![mk_ue(0), mk_ue(1)],
+            ServiceCatalog::new(1),
+            PricingConfig::paper_defaults(),
+            RadioConfig::paper_defaults(),
+            CoverageModel::default(),
+        )
+        .unwrap();
+        let out = Dmra::default()
+            .with_solve_mode(SolveMode::Monolithic)
+            .solve(&inst)
+            .unwrap();
+        assert_eq!(out, Dmra::default().solve_reference(&inst).unwrap());
+        for u in 0..2 {
+            assert_eq!(
+                out.allocation.bs_of(dmra_types::UeId::new(u)),
+                Some(dmra_types::BsId::new(1))
+            );
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@ use dmra_types::{
     UeId, UeSpec,
 };
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 use crate::allocation::Allocation;
 
@@ -101,9 +102,43 @@ pub struct ProblemInstance {
     /// `f_u`: number of candidate BSs of UE `u` (the statistic the BS-side
     /// tie-break of Algorithm 1 uses).
     pub(crate) f_u: Vec<u32>,
-    /// `covered_ues[i]` = UEs within coverage of BS `i` that request a
-    /// service it hosts — the broadcast domain of Algorithm 1 line 26.
-    pub(crate) covered_ues: Vec<Vec<UeId>>,
+    /// The transpose of the candidate rows, derived from `links` on first
+    /// use by [`ProblemInstance::covered_ues`]. Only the protocol's BS
+    /// agents read it, so the rows are rebuilt every epoch without paying
+    /// for it; whatever rewrites the rows resets it to empty.
+    pub(crate) covered: OnceLock<CoveredUes>,
+}
+
+/// The BS → covered-UE lists of an instance in one flat table: BS `i`
+/// owns `ues[start[i]..start[i + 1]]`, in ascending UE order.
+#[derive(Debug, Clone)]
+pub(crate) struct CoveredUes {
+    start: Vec<usize>,
+    ues: Vec<UeId>,
+}
+
+impl CoveredUes {
+    /// Transposes the candidate rows with one counting pass and one
+    /// filling pass over the links, `O(n_bss + links)`.
+    fn of(instance: &ProblemInstance) -> Self {
+        let mut start = vec![0usize; instance.n_bss() + 1];
+        for link in &instance.links {
+            start[link.bs.as_usize() + 1] += 1;
+        }
+        for i in 1..start.len() {
+            start[i] += start[i - 1];
+        }
+        let mut next = start.clone();
+        let mut ues = vec![UeId::new(0); instance.links.len()];
+        for ue in &instance.ues {
+            for link in instance.candidates(ue.id) {
+                let slot = &mut next[link.bs.as_usize()];
+                ues[*slot] = ue.id;
+                *slot += 1;
+            }
+        }
+        Self { start, ues }
+    }
 }
 
 impl ProblemInstance {
@@ -255,7 +290,7 @@ impl ProblemInstance {
         };
 
         // Candidate rows are per-UE independent: compute them in parallel,
-        // then merge serially in UE-id order so `covered_ues` and the
+        // then merge serially in UE-id order so the rows and the
         // max-distance fold come out exactly as in a serial build.
         let row_threads = if ues.len() >= PAR_MIN_ITEMS {
             threads
@@ -282,12 +317,8 @@ impl ProblemInstance {
         let mut row_start: Vec<usize> = Vec::with_capacity(ues.len() + 1);
         row_start.push(0);
         let mut f_u: Vec<u32> = Vec::with_capacity(ues.len());
-        let mut covered_ues: Vec<Vec<UeId>> = vec![Vec::new(); bss.len()];
         let mut max_candidate_distance = Meters::new(0.0);
-        for (ue, (row, row_max)) in ues.iter().zip(rows) {
-            for link in &row {
-                covered_ues[link.bs.as_usize()].push(ue.id);
-            }
+        for (row, row_max) in rows {
             if row_max > max_candidate_distance {
                 max_candidate_distance = row_max;
             }
@@ -310,7 +341,7 @@ impl ProblemInstance {
             links,
             row_start,
             f_u,
-            covered_ues,
+            covered: OnceLock::new(),
         })
     }
 
@@ -377,14 +408,19 @@ impl ProblemInstance {
         self.f_u[ue.as_usize()]
     }
 
-    /// The UEs inside the coverage/broadcast domain of BS `i`.
+    /// The UEs inside the coverage/broadcast domain of BS `i` — those
+    /// whose candidate row names it — in ascending UE order. The lists of
+    /// all BSs are derived together from the candidate rows on the first
+    /// call, `O(n_bss + links)`, and kept until the rows change.
     ///
     /// # Panics
     ///
     /// Panics if `bs` is not part of this instance.
     #[must_use]
     pub fn covered_ues(&self, bs: BsId) -> &[UeId] {
-        &self.covered_ues[bs.as_usize()]
+        let covered = self.covered.get_or_init(|| CoveredUes::of(self));
+        let i = bs.as_usize();
+        &covered.ues[covered.start[i]..covered.start[i + 1]]
     }
 
     /// Looks up the candidate link between `ue` and `bs`, if any.

@@ -362,9 +362,7 @@ impl DeploymentContext {
         instance.row_start.clear();
         instance.row_start.push(0);
         instance.f_u.clear();
-        for covered in &mut instance.covered_ues {
-            covered.clear();
-        }
+        instance.covered.take();
         let n_bss = instance.bss.len();
         Self {
             instance,
@@ -553,18 +551,14 @@ impl DeploymentContext {
         inst.row_start.clear();
         inst.row_start.extend_from_slice(row_start);
         inst.f_u.clear();
-        for covered in &mut inst.covered_ues {
-            covered.clear();
-        }
+        inst.covered.take();
         // `row_max` in the scans is the max over *accepted* links, so the
         // merged links' distances reproduce it exactly.
         let mut max_candidate_distance = Meters::new(0.0);
         for u in 0..inst.ues.len() {
             let row = &inst.links[row_start[u]..row_start[u + 1]];
             inst.f_u.push(row.len() as u32);
-            let ue_id = inst.ues[u].id;
             for link in row {
-                inst.covered_ues[link.bs.as_usize()].push(ue_id);
                 if link.distance > max_candidate_distance {
                     max_candidate_distance = link.distance;
                 }
@@ -669,9 +663,7 @@ impl DeploymentContext {
         inst.row_start.clear();
         inst.row_start.push(0);
         inst.f_u.clear();
-        for covered in &mut inst.covered_ues {
-            covered.clear();
-        }
+        inst.covered.take();
         let kernel_started = obs_on.then(std::time::Instant::now);
         let mut max_candidate_distance = Meters::new(0.0);
         let n_ues = inst.ues.len();
@@ -793,10 +785,6 @@ impl DeploymentContext {
                 }
                 inst.f_u.push((inst.links.len() - row_from) as u32);
                 inst.row_start.push(inst.links.len());
-                let ue_id = inst.ues[u].id;
-                for link in &inst.links[row_from..] {
-                    inst.covered_ues[link.bs.as_usize()].push(ue_id);
-                }
             }
         } else {
             for u in 0..n_ues {
@@ -879,10 +867,6 @@ impl DeploymentContext {
                 }
                 inst.f_u.push((inst.links.len() - row_from) as u32);
                 inst.row_start.push(inst.links.len());
-                let ue_id = inst.ues[u].id;
-                for link in &inst.links[row_from..] {
-                    inst.covered_ues[link.bs.as_usize()].push(ue_id);
-                }
             }
         }
         let kernel_ns = kernel_started.map_or(0, |t| {

@@ -11,6 +11,9 @@ cargo test --workspace -q
 # dmra-obs dependent forwards a `telemetry` feature, and this catches a
 # crate growing an unconditional dependency on instrumented APIs.
 cargo build -q --workspace --no-default-features
+# The benchmark is a package of its own, outside the workspace, so a
+# dmra-core API change that breaks it would pass every step above.
+cargo build -q --release --offline --manifest-path perfbench/Cargo.toml
 
 # Flight-recorder + /metrics smoke: run the dynamic simulator with a JSONL
 # flight record and a live metrics endpoint, scrape the endpoint mid-run

@@ -90,8 +90,15 @@ fn parallel_instance_build_is_bit_identical() {
 fn dense_solver_matches_reference_at_paper_scale() {
     // The dense-state rewrite of Algorithm 1 must reproduce the full
     // outcome (allocation, iterations, proposals, acceptance timeline) of
-    // the line-by-line transcription it replaced.
-    for (n_ues, seed, rho) in [(400usize, 1u64, 100.0), (900, 5, 0.0), (900, 5, 1000.0)] {
+    // the line-by-line transcription it replaced. The 2 000-UE instance has
+    // the mobility benchmark's population on the paper grid, where a solve
+    // runs 12 iterations.
+    for (n_ues, seed, rho) in [
+        (400usize, 1u64, 100.0),
+        (900, 5, 0.0),
+        (900, 5, 1000.0),
+        (2000, 1, 100.0),
+    ] {
         let instance = ScenarioConfig::paper_defaults()
             .with_ues(n_ues)
             .with_seed(seed)
@@ -101,6 +108,9 @@ fn dense_solver_matches_reference_at_paper_scale() {
         let fast = dmra.solve(&instance).unwrap();
         let reference = dmra.solve_reference(&instance).unwrap();
         assert_eq!(fast, reference, "n_ues={n_ues} seed={seed} rho={rho}");
+        if n_ues == 2000 {
+            assert_eq!(fast.iterations, 12, "the over-capacity shape drifted");
+        }
     }
 }
 

@@ -5,6 +5,88 @@ use dmra::sim::BsPlacement;
 use dmra_core::DmraConfig;
 use proptest::prelude::*;
 
+/// Adversarial reshapes of a built scenario, for the dense-vs-reference
+/// matcher equality. Each shape stresses one tie-break or degenerate path.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// The scenario as generated.
+    AsBuilt,
+    /// Every other BS has zero CRUs on every service and zero RRBs, so
+    /// it hosts nothing and names no candidate row.
+    ZeroBudgets,
+    /// Only BS 0 remains.
+    SingleBs,
+    /// Every BS sits on the first BS's site with the same small budgets:
+    /// prices and remaining resources tie, so Eq. (17) falls through to
+    /// BS ids, and the budgets drain fast enough that pruning has
+    /// reordered the candidate windows by then.
+    CoLocated,
+    /// Every UE sits far outside all coverage: all-cloud.
+    OutOfCoverage,
+    /// Budgets of 3–5 CRUs per service and 1–3 RRBs, about one UE's
+    /// demand, so BSs drain to `remaining CRUs + RRBs = 0` mid-solve.
+    Scarce,
+}
+
+fn arb_shape() -> impl Strategy<Value = Shape> {
+    (0u8..6).prop_map(|k| match k {
+        0 => Shape::AsBuilt,
+        1 => Shape::ZeroBudgets,
+        2 => Shape::SingleBs,
+        3 => Shape::CoLocated,
+        4 => Shape::OutOfCoverage,
+        _ => Shape::Scarce,
+    })
+}
+
+/// Rebuilds `instance` in the given [`Shape`] (same SPs, catalog, pricing,
+/// radio and coverage; reshaped BSs or UEs).
+fn reshape(instance: &ProblemInstance, shape: Shape) -> ProblemInstance {
+    let mut bss = instance.bss().to_vec();
+    let mut ues = instance.ues().to_vec();
+    match shape {
+        Shape::AsBuilt => {}
+        Shape::ZeroBudgets => {
+            for bs in bss.iter_mut().step_by(2) {
+                bs.cru_budget.iter_mut().for_each(|c| *c = Cru::ZERO);
+                bs.rrb_budget = RrbCount::ZERO;
+            }
+        }
+        Shape::SingleBs => bss.truncate(1),
+        Shape::CoLocated => {
+            let site = bss[0].position;
+            for bs in &mut bss {
+                bs.position = site;
+                bs.cru_budget.iter_mut().for_each(|c| *c = Cru::new(6));
+                bs.rrb_budget = RrbCount::new(4);
+            }
+        }
+        Shape::OutOfCoverage => {
+            for ue in &mut ues {
+                ue.position = Point::new(1.0e7, 1.0e7);
+            }
+        }
+        Shape::Scarce => {
+            for (i, bs) in bss.iter_mut().enumerate() {
+                for (j, c) in bs.cru_budget.iter_mut().enumerate() {
+                    *c = Cru::new(3 + ((i + j) % 3) as u32);
+                }
+                bs.rrb_budget = RrbCount::new(1 + (i % 3) as u32);
+            }
+        }
+    }
+    ProblemInstance::build(
+        instance.sps().to_vec(),
+        bss,
+        ues,
+        instance.catalog(),
+        *instance.pricing(),
+        *instance.radio(),
+        instance.coverage(),
+    )
+    .unwrap()
+}
+
 /// A generator of small but structurally diverse scenarios.
 fn arb_scenario() -> impl Strategy<Value = ScenarioConfig> {
     (
@@ -60,6 +142,39 @@ proptest! {
             prop_assert!(allocation.validate(&instance).is_ok(), "{} invalid", algo.name());
             let profit = instance.total_profit(&allocation);
             prop_assert!(profit.get() >= -1e-9, "{} negative profit", algo.name());
+        }
+    }
+
+    #[test]
+    fn prop_dense_solver_matches_reference_on_adversarial_shapes(
+        cfg in arb_scenario(),
+        shape in arb_shape(),
+    ) {
+        // Full-outcome equality (allocation, iterations, proposals,
+        // trajectories, prunes, evictions) between the dense matcher, in
+        // both solve modes, and the line-by-line transcription.
+        let instance = reshape(&cfg.build().unwrap(), shape);
+        for rho in [0.0, 100.0, 1000.0] {
+            for same_sp_preference in [false, true] {
+                let config = DmraConfig {
+                    rho,
+                    same_sp_preference,
+                    ..DmraConfig::paper_defaults()
+                };
+                let reference = Dmra::new(config).solve_reference(&instance).unwrap();
+                for mode in [SolveMode::Monolithic, SolveMode::Components] {
+                    let fast = Dmra::new(config).with_solve_mode(mode).solve(&instance).unwrap();
+                    prop_assert_eq!(
+                        &fast,
+                        &reference,
+                        "{:?} rho={} same_sp={} {:?}",
+                        shape,
+                        rho,
+                        same_sp_preference,
+                        mode
+                    );
+                }
+            }
         }
     }
 
