@@ -47,7 +47,7 @@ fn bench_instance_build(c: &mut Criterion) {
 
 /// The dense solver against the line-by-line reference it replaced — the
 /// hot-path speedup this crate's `BENCH_sweep.json` records.
-fn bench_solver_vs_reference(c: &mut Criterion) {
+fn bench_dense_vs_reference(c: &mut Criterion) {
     let mut group = c.benchmark_group("dmra-solve");
     for &n_ues in &[900usize, 2000] {
         let instance = bench_instance(n_ues, 7);
@@ -68,6 +68,6 @@ criterion_group!(
     benches,
     bench_allocators,
     bench_instance_build,
-    bench_solver_vs_reference
+    bench_dense_vs_reference
 );
 criterion_main!(benches);

@@ -24,14 +24,9 @@
 //! shard-count scaling curve on the wide-area grid (gated on hosts with
 //! enough hardware threads), and a sustained run past one million
 //! concurrent in-service tasks, written to `BENCH_shard.json`. The
-//! `bench_solve` job benchmarks the component-decomposed DMRA solve
-//! against the monolithic path — outcome equality asserted first, then a
-//! component-count/size histogram and a solve-thread speedup curve on the
-//! sparse metro grid, written to `BENCH_solve.json` and gated on hosts
-//! with enough hardware threads. The `obs_overhead` job measures the
-//! telemetry-enabled vs -disabled dynamic simulation and writes
-//! `BENCH_obs_overhead.json`, failing when the overhead exceeds its
-//! bound.
+//! `obs_overhead` job measures the telemetry-enabled vs -disabled dynamic
+//! simulation and writes `BENCH_obs_overhead.json`, failing when the
+//! overhead exceeds its bound.
 
 use dmra_baselines::{Dcsp, NonCo};
 use dmra_bench::bench_instance;
@@ -101,10 +96,6 @@ fn main() {
         }
         if job == "bench_shard" {
             bench_shard_mode();
-            continue;
-        }
-        if job == "bench_solve" {
-            bench_solve_mode();
             continue;
         }
         if job == "bench_proto" {
@@ -975,217 +966,6 @@ fn bench_shard_mode() {
     if gate_applied && !gate_pass {
         obs_error!(
             "shard speedup {speedup_at_four:.2}x at 4 shards fell below the {min_speedup}x bound"
-        );
-        std::process::exit(1);
-    }
-}
-
-/// Benchmarks the component-decomposed DMRA solve against the monolithic
-/// path and writes `BENCH_solve.json`.
-///
-/// Three sections:
-///
-/// 1. **Equality before timing** — at paper scale (600 and 2000 UEs,
-///    where the dense grid collapses to a single component and the
-///    component path degrades to the ordinary serial solve) and on the
-///    sparse metro grid, the component solve must reproduce the
-///    monolithic `DmraOutcome` bit-identically at every solve-thread
-///    count. This gate is unconditional, so the speedup figures can
-///    never be bought with a behaviour change.
-/// 2. **Component structure** — the metro deployment (140 × 140 sites,
-///    19600 BSs, 12000 UEs at ~0.6 UEs per site) splits into hundreds of
-///    candidate-graph components; the JSON records the count, the
-///    cloud-only population, and a power-of-two size histogram, and an
-///    instrumented solve verifies the `core.components` /
-///    `core.component_ues` telemetry records the same partition.
-/// 3. **Speedup curve** — best-of-3 monolithic wall time vs the
-///    component path at solve-thread counts {1, 2, 4}. Decomposition
-///    already wins serially (each component converges in its own, lower,
-///    iteration count instead of every UE paying the global maximum);
-///    worker threads stack on top. The `DMRA_SOLVE_SPEEDUP_MIN` gate
-///    (default 1.5, exit 1 below it) compares 4 solve threads against
-///    the monolithic baseline — but only on hosts exposing ≥ 4 hardware
-///    threads; smaller hosts record the gate as skipped, matching the
-///    `bench_shard` precedent.
-fn bench_solve_mode() {
-    use dmra_core::{decompose, SolveMode};
-
-    let min_speedup: f64 = std::env::var("DMRA_SOLVE_SPEEDUP_MIN")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.5);
-    let hardware_threads = std::thread::available_parallelism().map_or(1, usize::from);
-
-    // -- Equality at paper scale (dense: one component, serial path). --
-    let mut paper_rows = String::new();
-    for n_ues in [600usize, 2000] {
-        let instance = bench_instance(n_ues, 7);
-        let mono = Dmra::default().solve(&instance).expect("solves");
-        let d = decompose(&instance);
-        for threads in [1usize, 2, 4] {
-            let comp = Dmra::default()
-                .with_solve_mode(SolveMode::Components)
-                .with_solve_threads(Threads::Fixed(threads))
-                .solve(&instance)
-                .expect("solves");
-            assert_eq!(
-                comp, mono,
-                "component solve diverged at {n_ues} UEs, {threads} threads"
-            );
-        }
-        obs_info!(
-            "paper scale {n_ues} UEs: {} component(s), outcomes identical",
-            d.components.len()
-        );
-        if !paper_rows.is_empty() {
-            paper_rows.push_str(",\n");
-        }
-        paper_rows.push_str(&format!(
-            "      {{ \"n_ues\": {n_ues}, \"components\": {}, \
-             \"identical_outcome\": true }}",
-            d.components.len()
-        ));
-    }
-
-    // -- Sparse metro grid: the regime decomposition exists for. --
-    let mut metro = ScenarioConfig::paper_defaults()
-        .with_ues(12_000)
-        .with_seed(7);
-    metro.bss_per_sp = 3920;
-    metro.bs_placement = BsPlacement::RegularGrid {
-        rows: 140,
-        cols: 140,
-        isd: Meters::new(300.0),
-    };
-    metro.region = Rect::square(Meters::new(42_000.0));
-    metro.uplink_bandwidth = Hertz::from_mhz(40.0);
-    metro.validate().expect("metro solve scenario is valid");
-    let instance = metro
-        .build_with_threads(Threads::Auto)
-        .expect("metro instance builds");
-    let decomp = decompose(&instance);
-    let n_components = decomp.components.len();
-    let max_ues = decomp.max_component_ues();
-
-    // Power-of-two component-size histogram: bucket k holds components
-    // with 2^(k-1) < |UEs| <= 2^k (bucket 0 holds singletons).
-    let mut buckets: Vec<u64> = Vec::new();
-    for c in &decomp.components {
-        let k = usize::BITS as usize - (c.ues.len() - 1).leading_zeros() as usize;
-        if buckets.len() <= k {
-            buckets.resize(k + 1, 0);
-        }
-        buckets[k] += 1;
-    }
-    let mut histogram_rows = String::new();
-    for (k, count) in buckets.iter().enumerate() {
-        if !histogram_rows.is_empty() {
-            histogram_rows.push_str(",\n");
-        }
-        let lo = if k == 0 { 1 } else { (1usize << (k - 1)) + 1 };
-        histogram_rows.push_str(&format!(
-            "      {{ \"ues_from\": {lo}, \"ues_to\": {}, \"components\": {count} }}",
-            1usize << k
-        ));
-    }
-    obs_info!(
-        "metro grid: {} BSs, {} UEs -> {n_components} components \
-         ({} cloud-only, largest {max_ues} UEs)",
-        instance.n_bss(),
-        instance.n_ues(),
-        decomp.cloud_only.len()
-    );
-
-    // Equality on the metro instance, plus the telemetry counters from
-    // one instrumented component solve.
-    let mono_out = Dmra::default().solve(&instance).expect("solves");
-    dmra_obs::global().reset();
-    dmra_obs::global_trace().clear();
-    dmra_obs::set_enabled(true);
-    let comp_out = Dmra::default()
-        .with_solve_mode(SolveMode::Components)
-        .solve(&instance)
-        .expect("solves");
-    dmra_obs::set_enabled(false);
-    assert_eq!(comp_out, mono_out, "metro component solve diverged");
-    let obs_components = dmra_obs::global().counter("core.components").get();
-    let obs_sizes_recorded = dmra_obs::global().histogram("core.component_ues").count();
-    assert_eq!(
-        obs_components as usize, n_components,
-        "core.components disagrees with decompose()"
-    );
-
-    // -- Speedup curve: monolithic vs component path. --
-    let dmra = Dmra::default();
-    let mono_secs = best_of(3, || dmra.solve(&instance).expect("solves"));
-    let mut curve_rows = String::new();
-    let mut speedup_at_four = f64::NAN;
-    for threads in [1usize, 2, 4] {
-        let solver = Dmra::default()
-            .with_solve_mode(SolveMode::Components)
-            .with_solve_threads(Threads::Fixed(threads));
-        let out = solver.solve(&instance).expect("solves");
-        assert_eq!(
-            out, mono_out,
-            "component solve diverged at {threads} threads"
-        );
-        let secs = best_of(3, || solver.solve(&instance).expect("solves"));
-        let speedup = mono_secs / secs;
-        if threads == 4 {
-            speedup_at_four = speedup;
-        }
-        obs_info!(
-            "solve curve {threads} thread(s): {secs:.4} s vs monolithic \
-             {mono_secs:.4} s ({speedup:.2}x, identical outcome)"
-        );
-        if !curve_rows.is_empty() {
-            curve_rows.push_str(",\n");
-        }
-        curve_rows.push_str(&format!(
-            "      {{ \"threads\": {threads}, \"secs\": {secs:.4}, \
-             \"speedup_vs_monolithic\": {speedup:.2}, \"identical_outcome\": true }}"
-        ));
-    }
-    let gate_applied = hardware_threads >= 4;
-    let gate_pass = speedup_at_four >= min_speedup;
-    let gate_status = if !gate_applied {
-        "skipped"
-    } else if gate_pass {
-        "pass"
-    } else {
-        "fail"
-    };
-    obs_info!(
-        "solve speedup gate: {speedup_at_four:.2}x at 4 solve threads vs \
-         {min_speedup}x bound ({gate_status}; {hardware_threads} hardware thread(s))"
-    );
-
-    let json = format!(
-        "{{\n  \"title\": \"component-decomposed DMRA solve vs monolithic \
-         (paper grid and 140x140-site sparse metro grid)\",\n  \
-         \"hardware_threads\": {hardware_threads},\n  \
-         \"min_speedup_at_four_threads\": {min_speedup},\n  \
-         \"paper_scale\": {{\n    \"runs\": [\n{paper_rows}\n    ]\n  }},\n  \
-         \"metro\": {{\n    \"n_bss\": {}, \"n_ues\": {},\n    \
-         \"components\": {n_components}, \"cloud_only\": {},\n    \
-         \"max_component_ues\": {max_ues},\n    \
-         \"size_histogram\": [\n{histogram_rows}\n    ],\n    \
-         \"telemetry\": {{ \"core_components\": {obs_components}, \
-         \"component_sizes_recorded\": {obs_sizes_recorded} }},\n    \
-         \"monolithic_secs\": {mono_secs:.4},\n    \
-         \"runs\": [\n{curve_rows}\n    ],\n    \
-         \"speedup_at_four_threads\": {speedup_at_four:.2},\n    \
-         \"gate\": \"{gate_status}\"\n  }}\n}}\n",
-        instance.n_bss(),
-        instance.n_ues(),
-        decomp.cloud_only.len(),
-    );
-    fs::write("BENCH_solve.json", &json).expect("can write BENCH_solve.json");
-    obs_info!("wrote BENCH_solve.json");
-    if gate_applied && !gate_pass {
-        obs_error!(
-            "component solve speedup {speedup_at_four:.2}x at 4 threads \
-             fell below the {min_speedup}x bound"
         );
         std::process::exit(1);
     }

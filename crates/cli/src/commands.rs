@@ -4,16 +4,14 @@
 use crate::args::{ArgError, ParsedArgs};
 use dmra_baselines::{CloudOnly, Dcsp, GreedyProfit, NonCo, RandomAllocator};
 use dmra_core::agents::{run_protocol, ProtocolOptions};
-use dmra_core::{
-    set_batch_mode_default, set_solve_mode_default, Allocator, BatchMode, Dmra, DmraConfig,
-    SolveMode, Threads,
-};
+use dmra_core::{set_batch_mode_default, Allocator, BatchMode, Dmra, DmraConfig, Threads};
 use dmra_obs::{obs_debug, obs_info, Level};
 use dmra_proto::DropPolicy;
 use dmra_sim::dynamic::{
-    DynamicConfig, DynamicSimulator, HoldingDistribution, ProtoDelay, ProtoFaults,
+    check_arrival_rate, check_mean_holding, DynamicConfig, DynamicSimulator, HoldingDistribution,
+    ProtoDelay, ProtoFaults,
 };
-use dmra_sim::erlang::TrunkModel;
+use dmra_sim::erlang::{offered_erlangs, servers_for_blocking, TrunkModel, MAX_SERVERS};
 use dmra_sim::mobility::{MobilityConfig, MobilityPolicy, MobilitySimulator};
 use dmra_sim::{Metrics, ScenarioConfig, SweepRunner};
 use dmra_types::BsId;
@@ -89,12 +87,7 @@ pub fn help_text() -> String {
      \t--candidate-batch M  exact | approx: link-batch kernel mode\n\
      \t                 (default exact = bit-identical to the scalar\n\
      \t                 evaluator; approx trades ~1e-10 relative error\n\
-     \t                 for polynomial transcendentals)\n\
-     \t--solve M        monolithic | components: DMRA solve execution\n\
-     \t                 (default monolithic; components decomposes each\n\
-     \t                 instance into candidate-graph components and\n\
-     \t                 solves them in parallel — identical results\n\
-     \t                 either way)\n"
+     \t                 for polynomial transcendentals)\n"
         .to_owned()
 }
 
@@ -110,7 +103,6 @@ pub fn help_text() -> String {
 pub fn dispatch(parsed: &ParsedArgs) -> Result<String, ArgError> {
     configure_logging(parsed)?;
     configure_batch_mode(parsed)?;
-    configure_solve_mode(parsed)?;
     let trace_out = parsed.get("trace-out").map(std::path::PathBuf::from);
     let record_out = parsed.get("record").map(std::path::PathBuf::from);
     if parsed.get("sample-every").is_some() && record_out.is_none() {
@@ -218,24 +210,6 @@ fn configure_batch_mode(parsed: &ParsedArgs) -> Result<(), ArgError> {
         Some(other) => {
             return Err(ArgError(format!(
                 "--candidate-batch must be 'exact' or 'approx', got '{other}'"
-            )))
-        }
-    }
-    Ok(())
-}
-
-/// Applies `--solve M` to the process-global default [`SolveMode`], picked
-/// up by every DMRA solve in the command — all engines and the sharded
-/// runtime included. `components` only changes wall-clock time:
-/// outcomes are bit-identical to `monolithic` (instances whose physics
-/// forbid splitting quietly stay monolithic).
-fn configure_solve_mode(parsed: &ParsedArgs) -> Result<(), ArgError> {
-    match parsed.get("solve") {
-        None | Some("monolithic") => set_solve_mode_default(SolveMode::Monolithic),
-        Some("components") => set_solve_mode_default(SolveMode::Components),
-        Some(other) => {
-            return Err(ArgError(format!(
-                "--solve must be 'monolithic' or 'components', got '{other}'"
             )))
         }
     }
@@ -352,7 +326,6 @@ fn cmd_run(parsed: &ParsedArgs) -> Result<String, ArgError> {
         "sample-every",
         "metrics-addr",
         "candidate-batch",
-        "solve",
     ])?;
     let seed = parsed.get_or("seed", 42u64)?;
     let rho = rho_from(parsed)?;
@@ -406,7 +379,6 @@ fn cmd_sweep(parsed: &ParsedArgs) -> Result<String, ArgError> {
         "sample-every",
         "metrics-addr",
         "candidate-batch",
-        "solve",
     ])?;
     let base = scenario_from(parsed)?;
     let reps = parsed.get_or("reps", 3u32)?;
@@ -632,7 +604,6 @@ fn cmd_dynamic(parsed: &ParsedArgs) -> Result<String, ArgError> {
         "sample-every",
         "metrics-addr",
         "candidate-batch",
-        "solve",
     ])?;
     let (holding, mean_holding) = parse_holding(parsed.get("holding").unwrap_or("5"))?;
     let config = DynamicConfig {
@@ -733,7 +704,6 @@ fn cmd_mobility(parsed: &ParsedArgs) -> Result<String, ArgError> {
         "sample-every",
         "metrics-addr",
         "candidate-batch",
-        "solve",
     ])?;
     let speed = parsed.get_or("speed", 5.0f64)?;
     let mut scenario = scenario_from(parsed)?;
@@ -799,8 +769,12 @@ fn cmd_plan(parsed: &ParsedArgs) -> Result<String, ArgError> {
         "seed",
         "log-level",
     ])?;
+    // The same checks the dynamic simulator applies to these flags,
+    // except its `u32::MAX` rate bound: the analytic model draws no UEs.
     let rate = parsed.get_or("rate", 100.0f64)?;
+    check_arrival_rate(rate).map_err(|e| ArgError(format!("--rate: {e}")))?;
     let holding = parsed.get_or("holding", 5.0f64)?;
+    check_mean_holding(holding).map_err(|e| ArgError(format!("--holding: {e}")))?;
     let target_pct = parsed.get_or("target", 2.0f64)?;
     if !(0.0 < target_pct && target_pct <= 100.0) {
         return Err(ArgError("--target must be a percentage in (0, 100]".into()));
@@ -808,15 +782,24 @@ fn cmd_plan(parsed: &ParsedArgs) -> Result<String, ArgError> {
     let scenario = scenario_from(parsed)?;
     let model = TrunkModel::estimate(&scenario, 400, parsed.get_or("seed", 42u64)?)
         .map_err(|e| ArgError(e.to_string()))?;
-    let offered = rate * holding;
+    let offered = offered_erlangs(rate, holding);
     let blocking = model.predicted_blocking(rate, holding);
-    let needed = dmra_sim::erlang::servers_for_blocking(offered, target_pct / 100.0);
+    let needed = match servers_for_blocking(offered, target_pct / 100.0) {
+        Some(servers) => servers.to_string(),
+        None => format!("more than {MAX_SERVERS}"),
+    };
+    // Past a trillion erlang the fixed-point form runs to hundreds of
+    // digits.
+    let offered = if offered < 1e12 {
+        format!("{offered:.1}")
+    } else {
+        format!("{offered:.3e}")
+    };
     Ok(format!(
-        "trunk model:        {} effective servers ({:.2} RRBs/task)
-         offered load:       {offered:.1} erlang
-         predicted blocking: {:.2}%
-         servers needed for {target_pct}% blocking: {needed}
-",
+        "trunk model:        {} effective servers ({:.2} RRBs/task)\n\
+         offered load:       {offered} erlang\n\
+         predicted blocking: {:.2}%\n\
+         servers needed for {target_pct}% blocking: {needed}\n",
         model.servers,
         model.mean_rrbs_per_task,
         blocking * 100.0
@@ -1117,54 +1100,13 @@ mod tests {
     }
 
     #[test]
-    fn solve_components_reports_are_identical_and_garbage_is_rejected() {
-        // Unlike --candidate-batch approx, the component path is
-        // bit-identical by contract, so racing the process-global default
-        // against concurrently running unit tests cannot change any
-        // outcome — only which execution strategy computed it.
-        let mono = run(&["run", "--ues", "80", "--solve", "monolithic"]).unwrap();
-        let comp = run(&["run", "--ues", "80", "--solve", "components"]).unwrap();
-        let default = run(&["run", "--ues", "80"]).unwrap();
-        assert_eq!(mono, comp);
-        assert_eq!(mono, default);
-
-        let args = ["--rate", "10", "--epochs", "8"];
-        let d_mono = run(&[&["dynamic"], &args[..]].concat()).unwrap();
-        let d_comp = run(&[&["dynamic", "--solve", "components"], &args[..]].concat()).unwrap();
-        let d_shard = run(&[
-            &["dynamic", "--solve", "components", "--shards", "4"],
-            &args[..],
-        ]
-        .concat())
-        .unwrap();
-        assert_eq!(d_mono, d_comp);
-        assert_eq!(d_mono, d_shard);
-
-        let margs = ["--ues", "60", "--speed", "12", "--epochs", "5"];
-        let m_mono = run(&[&["mobility"], &margs[..]].concat()).unwrap();
-        let m_comp = run(&[&["mobility", "--solve", "components"], &margs[..]].concat()).unwrap();
-        let m_shard = run(&[
-            &["mobility", "--solve", "components", "--shards", "4"],
-            &margs[..],
-        ]
-        .concat())
-        .unwrap();
-        assert_eq!(m_mono, m_comp);
-        assert_eq!(m_mono, m_shard);
-
-        let err = run(&["run", "--solve", "psychic"]).unwrap_err();
-        assert!(err.to_string().contains("--solve"));
-    }
-
-    #[test]
-    fn delta_solve_mode_is_rejected_naming_the_valid_modes() {
-        let err = run(&["run", "--ues", "20", "--solve", "delta"])
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("--solve"), "{err}");
-        assert!(err.contains("'monolithic'"), "{err}");
-        assert!(err.contains("'components'"), "{err}");
-        assert!(err.contains("'delta'"), "echoes the rejected value: {err}");
+    fn removed_solve_flag_is_an_unknown_option() {
+        for cmd in ["run", "sweep", "dynamic", "mobility"] {
+            let err = run(&[cmd, "--solve", "components"])
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains("unknown option --solve"), "{cmd}: {err}");
+        }
     }
 
     #[test]
@@ -1200,7 +1142,31 @@ mod tests {
     fn plan_reports_blocking() {
         let text = run(&["plan", "--rate", "200", "--holding", "5"]).unwrap();
         assert!(text.contains("predicted blocking"));
-        assert!(text.contains("erlang"));
+        assert!(text.contains("1000.0 erlang"), "{text}");
+    }
+
+    #[test]
+    fn plan_rejects_impossible_loads_naming_the_flag() {
+        for (flag, value) in [
+            ("--rate", "nan"),
+            ("--rate", "inf"),
+            ("--rate", "-5"),
+            ("--holding", "nan"),
+            ("--holding", "inf"),
+            ("--holding", "0"),
+            ("--holding", "0.5"),
+        ] {
+            let err = run(&["plan", flag, value])
+                .expect_err("impossible load accepted")
+                .to_string();
+            assert!(err.starts_with(flag), "{flag} {value}: {err}");
+        }
+    }
+
+    #[test]
+    fn plan_reports_loads_beyond_the_dimensioning_cap() {
+        let text = run(&["plan", "--rate", "1e300"]).unwrap();
+        assert!(text.contains("blocking: more than 10000000"), "{text}");
     }
 
     #[test]

@@ -1,88 +1,37 @@
-//! Connected-component decomposition of a [`ProblemInstance`].
+//! Connected-component decomposition of a [`ProblemInstance`] — an
+//! analysis of the instance's structure, not a solve path.
 //!
 //! The matching of Algorithm 1 is decentralized by construction: a UE only
 //! ever interacts with the BSs in its candidate set, and a BS only with the
 //! UEs that propose to it. Viewing UEs and BSs as the two sides of a
 //! bipartite graph whose edges are the precomputed candidate links, the
 //! instance splits into connected components whose deferred-acceptance
-//! runs cannot influence each other — no preference value, feasibility
-//! check or admission decision ever reads state outside the component.
-//! [`decompose`] finds that partition with a union-find pass over the
-//! candidate rows; [`crate::Dmra`] solves the components independently
-//! (in parallel when it helps) and merges the sub-outcomes back in global
-//! UE order, bit-identical to the monolithic solve (DESIGN.md §14 spells
-//! out the argument). Every solve decomposes its instance afresh and
-//! carries nothing into the next epoch: replaying unchanged components
-//! measured slower than re-solving them (DESIGN.md §17).
-//!
-//! Splitting is only sound when candidate links are the *whole* coupling
-//! between agents. The load-proportional interference model couples every
-//! UE through the aggregate received power at each BS, so instances built
-//! with it refuse to split — the same guard the incremental row cache and
-//! the region-sharded runtime apply.
+//! runs cannot influence each other. [`decompose`] finds that partition
+//! with a union-find pass over the candidate rows; benchmarks and tests
+//! use it to report how fragmented an instance is (component count,
+//! largest component). [`crate::Dmra`] always solves the whole instance in
+//! one run: its matcher already pays only for the UEs and BSs in play, and
+//! a per-component solve measured slower on every benchmark workload
+//! (DESIGN.md §14).
 
 use crate::instance::ProblemInstance;
-use dmra_radio::InterferenceModel;
 use dmra_types::UeId;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// How [`crate::Dmra`] executes a solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolveMode {
-    /// One dense matching run over the whole instance — the original
-    /// execution, and the fallback whenever splitting is unsound.
-    #[default]
-    Monolithic,
-    /// Decompose the instance into connected components and solve them
-    /// independently, fanning out over `dmra-par` workers. Bit-identical
-    /// to [`SolveMode::Monolithic`] (enforced by the equality suites);
-    /// only wall-clock time changes. Opt in via `--solve components` or
-    /// [`set_solve_mode_default`].
-    Components,
-}
-
-/// Process-wide default consumed by [`crate::Dmra`] solves that were not
-/// given an explicit mode (`false` = [`SolveMode::Monolithic`]). A plain
-/// relaxed atomic: the flag is set once at CLI startup, before any solver
-/// runs.
-static SOLVE_COMPONENTS: AtomicBool = AtomicBool::new(false);
-
-/// Sets the process-wide default [`SolveMode`] picked up by every
-/// subsequently run [`crate::Dmra`] solve without an explicit mode.
-/// Intended for CLI startup (`--solve`); library code should use
-/// [`crate::Dmra::with_solve_mode`] instead.
-pub fn set_solve_mode_default(mode: SolveMode) {
-    SOLVE_COMPONENTS.store(mode == SolveMode::Components, Ordering::Relaxed);
-}
-
-/// The current process-wide default [`SolveMode`].
-#[must_use]
-pub fn solve_mode_default() -> SolveMode {
-    if SOLVE_COMPONENTS.load(Ordering::Relaxed) {
-        SolveMode::Components
-    } else {
-        SolveMode::Monolithic
-    }
-}
 
 /// One connected component of the candidate-link graph: a set of UEs and
 /// the BSs they can reach, closed under "shares a candidate link".
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Component {
-    /// Raw UE indices, ascending — so local UE order preserves the global
-    /// tie-break order inside the component.
+    /// Raw UE indices, ascending.
     pub ues: Vec<u32>,
-    /// Raw BS indices, ascending — same order-preservation argument for
-    /// the BS-side tie-breaks.
+    /// Raw BS indices, ascending.
     pub bss: Vec<u32>,
 }
 
 /// The full partition produced by [`decompose`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Decomposition {
-    /// Components ordered by their smallest UE index (ascending), which
-    /// makes the merge order — and therefore the merged outcome —
-    /// deterministic.
+    /// Components ordered by their smallest UE index (ascending), so the
+    /// partition is deterministic.
     pub components: Vec<Component>,
     /// UEs with an empty candidate row. They join no component: the
     /// matcher cloud-forwards them in its first iteration without ever
@@ -106,19 +55,6 @@ impl Decomposition {
             .max()
             .unwrap_or(0)
     }
-}
-
-/// Returns `true` when the instance's physics allow component splitting:
-/// candidate links must be the only coupling between UEs. The
-/// load-proportional interference model adds a global coupling through
-/// the per-BS aggregate received power, so it pins the solve to the
-/// monolithic path (mirroring the row-cache and shard-runtime guards).
-#[must_use]
-pub fn splittable(instance: &ProblemInstance) -> bool {
-    !matches!(
-        instance.radio().interference,
-        InterferenceModel::LoadProportional { .. }
-    )
 }
 
 /// Partitions the instance into connected components of the candidate-link
@@ -243,29 +179,5 @@ mod tests {
         assert_eq!(d.components[0].bss, vec![0, 1]);
         assert_eq!(d.n_ues(), inst.n_ues());
         assert_eq!(d.max_component_ues(), 2);
-    }
-
-    #[test]
-    fn default_solve_mode_is_monolithic() {
-        // The process default starts monolithic; `--solve components` is
-        // an explicit opt-in. (Tests that flip the global default live in
-        // the CLI crate where the process-global race is managed.)
-        assert_eq!(SolveMode::default(), SolveMode::Monolithic);
-    }
-
-    #[test]
-    fn noise_only_instances_are_splittable() {
-        assert!(splittable(&two_sp_instance()));
-    }
-
-    #[test]
-    fn solve_mode_default_roundtrips_all_modes() {
-        // The atomic-flag encoding must survive a set/get round trip for
-        // every variant. Restore monolithic afterwards: the default is
-        // process-global state shared with other tests.
-        for mode in [SolveMode::Components, SolveMode::Monolithic] {
-            set_solve_mode_default(mode);
-            assert_eq!(solve_mode_default(), mode);
-        }
     }
 }

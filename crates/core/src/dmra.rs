@@ -27,21 +27,11 @@
 
 use crate::allocation::Allocation;
 use crate::allocator::{Allocator, AllocatorSession};
-use crate::components::{self, decompose, Component, Decomposition, SolveMode};
 use crate::instance::{CandidateLink, ProblemInstance};
-use dmra_par::{par_map_indexed_scratch, Threads};
 use dmra_types::{BsId, Cru, Error, Result, RrbCount, UeId};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
-
-/// Component sets totalling fewer UEs than this solve serially on the
-/// caller's workspace instead of fanning out over workers. At
-/// dynamic-regime arrival-batch sizes the worker orchestration costs more
-/// than the matching itself (the `BENCH_solve.json` metro curve sat at
-/// 0.99× at 4 threads before this guard existed). Purely a performance
-/// constant: both paths are bit-identical.
-const SOLVE_MIN_FANOUT_UES: usize = 512;
 
 /// Tunables of the DMRA matcher.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -114,58 +104,19 @@ pub struct DmraOutcome {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Dmra {
     config: DmraConfig,
-    /// Explicit solve mode; `None` defers to the process-wide default
-    /// ([`components::solve_mode_default`], set by `--solve`).
-    mode: Option<SolveMode>,
-    /// Worker knob for the component fan-out (ignored by the monolithic
-    /// path). Threading never changes the outcome, only wall-clock time.
-    solve_threads: Threads,
 }
 
 impl Dmra {
     /// Creates a DMRA matcher with the given configuration.
     #[must_use]
     pub fn new(config: DmraConfig) -> Self {
-        Self {
-            config,
-            mode: None,
-            solve_threads: Threads::Auto,
-        }
+        Self { config }
     }
 
     /// The matcher's configuration.
     #[must_use]
     pub fn config(&self) -> &DmraConfig {
         &self.config
-    }
-
-    /// Returns a copy pinned to the given [`SolveMode`], overriding the
-    /// process-wide default for this matcher only.
-    #[must_use]
-    pub fn with_solve_mode(mut self, mode: SolveMode) -> Self {
-        self.mode = Some(mode);
-        self
-    }
-
-    /// Returns a copy with the component fan-out pinned to `threads`.
-    #[must_use]
-    pub fn with_solve_threads(mut self, threads: Threads) -> Self {
-        self.solve_threads = threads;
-        self
-    }
-
-    /// The [`SolveMode`] a solve of `instance` will actually use: the
-    /// explicit mode if one was set (else the process default), demoted to
-    /// [`SolveMode::Monolithic`] when the instance's interference model
-    /// makes splitting unsound ([`components::splittable`]).
-    #[must_use]
-    pub fn effective_solve_mode(&self, instance: &ProblemInstance) -> SolveMode {
-        let mode = self.mode.unwrap_or_else(components::solve_mode_default);
-        if mode != SolveMode::Monolithic && !components::splittable(instance) {
-            SolveMode::Monolithic
-        } else {
-            mode
-        }
     }
 
     /// Runs the matching to quiescence, returning convergence diagnostics
@@ -198,14 +149,6 @@ impl Dmra {
     /// one, and one previously used on a *different* instance all produce
     /// identical outcomes (unit tests pin this down).
     ///
-    /// Dispatches on [`Dmra::effective_solve_mode`]: under
-    /// [`SolveMode::Components`] the instance is first decomposed into
-    /// connected components of the candidate-link graph and each component
-    /// is matched independently — bit-identical to the monolithic run
-    /// (DESIGN.md §14), only faster when the instance actually splits. An
-    /// instance that is one component (or empty) falls through to the
-    /// monolithic dense path, which *is* the single-component solve.
-    ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] for a non-finite `ρ`, and
@@ -217,25 +160,6 @@ impl Dmra {
         ws: &mut DmraWorkspace,
     ) -> Result<DmraOutcome> {
         check_rho(&self.config)?;
-        if self.effective_solve_mode(instance) != SolveMode::Monolithic {
-            let decomp = decompose(instance);
-            record_decomposition(&decomp);
-            if decomp.components.len() > 1 {
-                return self.solve_decomposed(instance, &decomp, ws);
-            }
-            // ≤ 1 component: degrade to the serial path below.
-        }
-        self.solve_monolithic(instance, ws)
-    }
-
-    /// The whole-instance dense execution: the one-component case of
-    /// [`Dmra::solve_decomposed`], whose component is every UE and every
-    /// BS some candidate row names.
-    fn solve_monolithic(
-        &self,
-        instance: &ProblemInstance,
-        ws: &mut DmraWorkspace,
-    ) -> Result<DmraOutcome> {
         // Telemetry is observe-only: the flag is read once, the clock only
         // when enabled, and all recording happens after the match loop —
         // nothing here can influence a decision below.
@@ -247,7 +171,7 @@ impl Dmra {
 
         let mut bss = std::mem::take(&mut ws.bss);
         referenced_bss(instance, &mut bss, &mut ws.bs_mark);
-        load(instance, 0..n_ues as u32, &bss, ws);
+        load(instance, &bss, ws);
         let run = match_loop(&self.config, n_ues, bss.len(), n_svcs, ws);
         ws.bss = bss;
         let mut run = run?;
@@ -260,70 +184,6 @@ impl Dmra {
         }
 
         Ok(run.into_outcome())
-    }
-
-    /// The component-parallel execution: one [`match_loop`] per connected
-    /// component (local indices), fanned out over `dmra-par` workers with
-    /// per-worker workspace scratch, then a deterministic merge back to
-    /// global UE order. Only called with ≥ 2 components.
-    ///
-    /// Bit-identity to [`Dmra::solve_monolithic`] (DESIGN.md §14): a
-    /// component member's state at iteration `t` depends only on component
-    /// state at `t - 1`, component UE/BS lists are ascending so local
-    /// index order preserves every global tie-break order, and the merge
-    /// rules below reconstruct exactly the global trajectories
-    /// (`iterations = max`, per-iteration counters are sums with quiesced
-    /// components contributing zero).
-    ///
-    /// Below the [`SOLVE_MIN_FANOUT_UES`] total-UE threshold (or on a
-    /// single-thread knob) the components run serially on the caller's
-    /// workspace — the worker orchestration of tiny solves costs more
-    /// than the matching itself (the `BENCH_solve.json` metro curve sat
-    /// at 0.99× for dynamic-regime arrival batches). Above it they fan
-    /// out over `par_map_indexed_scratch` workers, outcome-transparent by
-    /// the `dmra-par` contract (outputs in index order, any thread
-    /// count), each on a workspace of its own. The chosen path is
-    /// recorded as `core.solve_serial` / `core.solve_fanout`.
-    fn solve_decomposed(
-        &self,
-        instance: &ProblemInstance,
-        decomp: &Decomposition,
-        ws: &mut DmraWorkspace,
-    ) -> Result<DmraOutcome> {
-        let obs_on = dmra_obs::enabled();
-        let solve_started = obs_on.then(std::time::Instant::now);
-        let n_ues = instance.n_ues();
-        let n_svcs = instance.catalog().len() as usize;
-        let config = &self.config;
-        let solve_one = |ws: &mut DmraWorkspace, comp: &Component| {
-            load(instance, comp.ues.iter().copied(), &comp.bss, ws);
-            match_loop(config, comp.ues.len(), comp.bss.len(), n_svcs, ws)
-        };
-
-        let total_ues = n_ues - decomp.cloud_only.len();
-        let serial = total_ues < SOLVE_MIN_FANOUT_UES || self.solve_threads.resolve() <= 1;
-        record_solve_path(serial);
-        let runs: Vec<Result<MatchRun>> = if serial {
-            decomp
-                .components
-                .iter()
-                .map(|comp| solve_one(ws, comp))
-                .collect()
-        } else {
-            par_map_indexed_scratch(
-                self.solve_threads,
-                decomp.components.len(),
-                DmraWorkspace::default,
-                |ws, c| solve_one(ws, &decomp.components[c]),
-            )
-        };
-        let merged = merge_component_runs(n_ues, decomp, runs)?;
-
-        if obs_on {
-            record_solve(&merged, n_ues, solve_started);
-        }
-
-        Ok(merged.into_outcome())
     }
 
     /// The straightforward line-by-line transcription of Algorithm 1 that
@@ -492,8 +352,8 @@ impl Allocator for Dmra {
 /// re-checks on entry.
 #[derive(Debug, Clone, Default)]
 pub struct DmraWorkspace {
-    /// The monolithic solve's local BSs: the global ids some candidate
-    /// row names, ascending (local id = position).
+    /// The solve's local BSs: the global ids some candidate row names,
+    /// ascending (local id = position).
     bss: Vec<u32>,
     /// One bit per global BS, scratch of `referenced_bss`.
     bs_mark: Vec<u64>,
@@ -541,9 +401,9 @@ impl AllocatorSession for DmraSession {
     }
 }
 
-/// Everything one dense [`match_loop`] run produces. Indices are *local*
-/// to the run — the loaded UE/BS lists' positions — and are mapped back to
-/// global ids by the caller.
+/// Everything one dense [`match_loop`] run produces. BS ids are *local*
+/// (positions in the loaded BS list) and are mapped back to global ids by
+/// the caller; UE indices are global.
 #[derive(Debug)]
 struct MatchRun {
     /// Per-UE assignment (local BS ids); `None` = cloud or unreachable.
@@ -599,7 +459,7 @@ fn check_rho(config: &DmraConfig) -> Result<()> {
 }
 
 /// Collects into `out`, ascending, the BSs that some candidate row of
-/// `instance` names — the monolithic solve's local BSs. `mark` is bitmap
+/// `instance` names — the solve's local BSs. `mark` is bitmap
 /// scratch, one bit per global BS, so the pass costs `O(links + n_bss/64)`.
 fn referenced_bss(instance: &ProblemInstance, out: &mut Vec<u32>, mark: &mut Vec<u64>) {
     mark.clear();
@@ -618,25 +478,17 @@ fn referenced_bss(instance: &ProblemInstance, out: &mut Vec<u32>, mark: &mut Vec
     }
 }
 
-/// Loads one sub-instance into the dense caches of `ws`: the UEs `ues`
-/// and the BSs `bss`, both ascending, where `bss` is exactly the set of
-/// BSs the UEs' candidate rows name. Local ids are positions in the two
-/// lists; BS ids are remapped through `ws.bs_local`, whose entries are
-/// written for every BS of `bss` before any read, so it is reused across
-/// loads without clearing. The monolithic solve loads every UE with the
-/// BSs of [`referenced_bss`]; a component solve loads the component.
+/// Loads the instance into the dense caches of `ws`: every UE, and the
+/// BSs `bss` — ascending, exactly the set some candidate row names (see
+/// [`referenced_bss`]). Local BS ids are positions in `bss`, remapped
+/// through `ws.bs_local`, whose entries are written for every BS of `bss`
+/// before any read, so it is reused across loads without clearing.
 ///
-/// Because both lists are ascending, local index order preserves global
-/// order — every tie-break (`c.bs < best_bs`, the UE-id term of the
-/// preference key, the `touched` slot sort) resolves exactly as it would
-/// over global ids. All per-UE values (`f_u`, demands, prices) are the
-/// instance-global ones.
-fn load(
-    instance: &ProblemInstance,
-    ues: impl Iterator<Item = u32>,
-    bss: &[u32],
-    ws: &mut DmraWorkspace,
-) {
+/// Because `bss` is ascending, local index order preserves global order —
+/// every tie-break (`c.bs < best_bs`, the `touched` slot sort) resolves
+/// exactly as it would over global ids. All per-UE values (`f_u`,
+/// demands, prices) are the instance-global ones.
+fn load(instance: &ProblemInstance, bss: &[u32], ws: &mut DmraWorkspace) {
     if ws.bs_local.len() < instance.n_bss() {
         ws.bs_local.resize(instance.n_bss(), 0);
     }
@@ -664,7 +516,7 @@ fn load(
     ws.svc.clear();
     ws.cru_demand.clear();
     ws.f_u.clear();
-    for gu in ues {
+    for gu in 0..instance.n_ues() as u32 {
         let row = instance.candidates(UeId::new(gu));
         ws.start.push(ws.cands.len());
         ws.len.push(row.len());
@@ -682,7 +534,7 @@ fn load(
 }
 
 /// The dense deferred-acceptance loop of Algorithm 1, running over the
-/// `n_ues × n_bss × n_svcs` sub-instance currently loaded in `ws` (see
+/// `n_ues × n_bss × n_svcs` instance currently loaded in `ws` (see
 /// [`load`]). Its cost follows the work in play:
 ///
 /// * the UE side walks only the worklist of unmatched UEs (`active`,
@@ -880,80 +732,7 @@ fn match_loop(
     })
 }
 
-/// Deterministic merge of per-component [`MatchRun`]s (one per component,
-/// in component order) back to global UE order. Components are ordered by
-/// smallest UE id and each
-/// UE belongs to exactly one component, so the merge rules reconstruct
-/// exactly the monolithic trajectories: `iterations = max`, per-iteration
-/// counters are element-wise sums with quiesced components contributing
-/// zero, and cloud-only UEs (in no component) seed `cloud_total`.
-fn merge_component_runs(
-    n_ues: usize,
-    decomp: &Decomposition,
-    runs: Vec<Result<MatchRun>>,
-) -> Result<MatchRun> {
-    let mut merged = MatchRun {
-        assigned: vec![None; n_ues],
-        iterations: 1,
-        proposals: 0,
-        acceptances: Vec::new(),
-        unmatched: Vec::new(),
-        prunes: 0,
-        evictions: 0,
-        assigned_total: 0,
-        cloud_total: decomp.cloud_only.len(),
-        workspace_reused: false,
-    };
-    for (comp, run) in decomp.components.iter().zip(runs) {
-        let run = run?;
-        // A component that quiesced at `T_c` contributes zero to every
-        // later global iteration: all its UEs are assigned or
-        // cloud-forwarded by then, exactly as in the monolithic run.
-        merged.iterations = merged.iterations.max(run.iterations);
-        merged.proposals += run.proposals;
-        merged.prunes += run.prunes;
-        merged.evictions += run.evictions;
-        merged.assigned_total += run.assigned_total;
-        merged.cloud_total += run.cloud_total;
-        if merged.acceptances.len() < run.acceptances.len() {
-            merged.acceptances.resize(run.acceptances.len(), 0);
-            merged.unmatched.resize(run.unmatched.len(), 0);
-        }
-        for (t, &a) in run.acceptances.iter().enumerate() {
-            merged.acceptances[t] += a;
-        }
-        for (t, &m) in run.unmatched.iter().enumerate() {
-            merged.unmatched[t] += m;
-        }
-        for (lu, &gu) in comp.ues.iter().enumerate() {
-            if let Some(lb) = run.assigned[lu] {
-                merged.assigned[gu as usize] = Some(BsId::new(comp.bss[lb.as_usize()]));
-            }
-        }
-    }
-    Ok(merged)
-}
-
-/// Records which execution path [`Dmra::solve_decomposed`] chose
-/// (`core.solve_serial` below the min-fanout threshold,
-/// `core.solve_fanout` above it) — the witness for the threshold
-/// satellite's telemetry requirement.
-fn record_solve_path(serial: bool) {
-    if !dmra_obs::enabled() {
-        return;
-    }
-    static FANOUT: dmra_obs::LazyCounter = dmra_obs::LazyCounter::new("core.solve_fanout");
-    static SERIAL: dmra_obs::LazyCounter = dmra_obs::LazyCounter::new("core.solve_serial");
-    if serial {
-        SERIAL.get().inc();
-    } else {
-        FANOUT.get().inc();
-    }
-}
-
-/// Records the standard `dmra.*` telemetry of one finished solve — the
-/// merged totals of a decomposed run are recorded exactly once, with the
-/// same counters the monolithic path uses.
+/// Records the standard `dmra.*` telemetry of one finished solve.
 fn record_solve(run: &MatchRun, n_ues: usize, solve_started: Option<std::time::Instant>) {
     // Handles are resolved once and cached; steady-state recording
     // is one atomic op per metric (see BENCH_obs_overhead.json).
@@ -996,25 +775,6 @@ fn record_solve(run: &MatchRun, n_ues: usize, solve_started: Option<std::time::I
             ("wall_ns", solve_ns as f64),
         ],
     });
-}
-
-/// Records the `core.components` decomposition telemetry: how many
-/// components the instance split into, the largest component's UE count
-/// (a high-water gauge) and the full size distribution. Shows up in
-/// `--trace-out` snapshots and the `figures -- bench` breakdown.
-fn record_decomposition(decomp: &Decomposition) {
-    if !dmra_obs::enabled() {
-        return;
-    }
-    static COMPONENTS: dmra_obs::LazyCounter = dmra_obs::LazyCounter::new("core.components");
-    static MAX_UES: dmra_obs::LazyGauge = dmra_obs::LazyGauge::new("core.component_max_ues");
-    static COMPONENT_UES: dmra_obs::LazyHistogram =
-        dmra_obs::LazyHistogram::new("core.component_ues");
-    COMPONENTS.get().add(decomp.components.len() as u64);
-    MAX_UES.get().set_max(decomp.max_component_ues() as u64);
-    for comp in &decomp.components {
-        COMPONENT_UES.get().record(comp.ues.len() as u64);
-    }
 }
 
 /// One live candidate in the dense solver's flattened per-UE window.
@@ -1404,6 +1164,20 @@ mod tests {
                 contested_instance(55),
                 DmraConfig::paper_defaults().with_rho(1000.0),
             ),
+            // Two coverage islands plus a UE with an empty candidate row,
+            // which is cloud-forwarded without ever proposing.
+            (island_instance(), DmraConfig::paper_defaults()),
+            (
+                island_instance(),
+                DmraConfig::paper_defaults().with_rho(0.0),
+            ),
+            (
+                island_instance(),
+                DmraConfig {
+                    same_sp_preference: false,
+                    ..DmraConfig::paper_defaults()
+                },
+            ),
         ];
         for (i, (inst, cfg)) in scenarios.iter().enumerate() {
             let dmra = Dmra::new(*cfg);
@@ -1529,134 +1303,15 @@ mod tests {
     }
 
     #[test]
-    fn component_solve_is_bit_identical_to_monolithic() {
-        // The full DmraOutcome — allocation, iteration count, proposal
-        // totals, convergence trajectories — must match between the two
-        // executions, on instances that do and do not split, across the
-        // config knobs, for every thread count.
-        let scenarios: Vec<(ProblemInstance, DmraConfig)> = vec![
-            (island_instance(), DmraConfig::paper_defaults()),
-            (
-                island_instance(),
-                DmraConfig::paper_defaults().with_rho(0.0),
-            ),
-            (
-                island_instance(),
-                DmraConfig {
-                    same_sp_preference: false,
-                    ..DmraConfig::paper_defaults()
-                },
-            ),
-            (two_sp_instance(), DmraConfig::paper_defaults()),
-            (contested_instance(1), DmraConfig::paper_defaults()),
-            (contested_instance(0), DmraConfig::paper_defaults()),
-            (
-                contested_instance(55),
-                DmraConfig::paper_defaults().with_rho(1000.0),
-            ),
-        ];
-        for (i, (inst, cfg)) in scenarios.iter().enumerate() {
-            let mono = Dmra::new(*cfg)
-                .with_solve_mode(SolveMode::Monolithic)
-                .solve(inst)
-                .unwrap();
-            for threads in [1, 2, 3, 8] {
-                let comp = Dmra::new(*cfg)
-                    .with_solve_mode(SolveMode::Components)
-                    .with_solve_threads(Threads::Fixed(threads))
-                    .solve(inst)
-                    .unwrap();
-                assert_eq!(comp, mono, "scenario #{i} diverged at {threads} threads");
-            }
-        }
-    }
-
-    #[test]
-    fn component_session_matches_monolithic_session() {
-        let mono = Dmra::default().with_solve_mode(SolveMode::Monolithic);
-        let comp = Dmra::default().with_solve_mode(SolveMode::Components);
-        let mut mono_session = mono.session();
-        let mut comp_session = comp.session();
-        for inst in [
-            island_instance(),
-            two_sp_instance(),
-            island_instance(),
-            contested_instance(1),
-        ] {
-            assert_eq!(comp_session.allocate(&inst), mono_session.allocate(&inst));
-        }
-    }
-
-    #[test]
-    fn load_proportional_interference_pins_the_monolithic_path() {
-        // The global coupling through aggregate received power makes
-        // splitting unsound; the effective mode must demote itself, and
-        // the solve must still equal the monolithic one trivially.
-        let inst = {
-            let sps = vec![
-                SpSpec::new(SpId::new(0), Money::new(10.0), Money::new(1.0)),
-                SpSpec::new(SpId::new(1), Money::new(10.0), Money::new(1.0)),
-            ];
-            let catalog = ServiceCatalog::new(1);
-            let mk_bs = |id: u32, sp: u32, x: f64| {
-                BsSpec::new(
-                    dmra_types::BsId::new(id),
-                    SpId::new(sp),
-                    Point::new(x, 0.0),
-                    vec![Cru::new(100)],
-                    Hertz::from_mhz(10.0),
-                    dmra_types::RrbCount::new(55),
-                )
-            };
-            let mk_ue = |id: u32, sp: u32, x: f64| {
-                UeSpec::new(
-                    dmra_types::UeId::new(id),
-                    SpId::new(sp),
-                    Point::new(x, 0.0),
-                    ServiceId::new(0),
-                    Cru::new(4),
-                    BitsPerSec::from_mbps(3.0),
-                    Dbm::new(10.0),
-                )
-            };
-            let radio = dmra_radio::RadioConfig {
-                interference: dmra_radio::InterferenceModel::LoadProportional { factor: 0.1 },
-                ..RadioConfig::paper_defaults()
-            };
-            ProblemInstance::build(
-                sps,
-                vec![mk_bs(0, 0, 0.0), mk_bs(1, 1, 100_000.0)],
-                vec![mk_ue(0, 0, 100.0), mk_ue(1, 1, 100_100.0)],
-                catalog,
-                PricingConfig::paper_defaults(),
-                radio,
-                CoverageModel::default(),
-            )
-            .unwrap()
-        };
-        let dmra = Dmra::default().with_solve_mode(SolveMode::Components);
-        assert_eq!(dmra.effective_solve_mode(&inst), SolveMode::Monolithic);
-        assert!(!crate::components::splittable(&inst));
-        let comp = dmra.solve(&inst).unwrap();
-        let mono = Dmra::default()
-            .with_solve_mode(SolveMode::Monolithic)
-            .solve(&inst)
-            .unwrap();
-        assert_eq!(comp, mono);
-    }
-
-    #[test]
     fn all_cloud_instance_merges_to_one_silent_iteration() {
         // Zero-RRB budget: every candidate prunes away in iteration 1 and
-        // everyone cloud-forwards; both paths must agree on the degenerate
-        // trajectory (iterations = 1, empty timelines).
+        // everyone cloud-forwards; the solver and the reference must agree
+        // on the degenerate trajectory (iterations = 1, empty timelines).
         let inst = contested_instance(0);
-        let comp = Dmra::default()
-            .with_solve_mode(SolveMode::Components)
-            .solve(&inst)
-            .unwrap();
-        assert_eq!(comp.iterations, 1);
-        assert!(comp.acceptances.is_empty());
+        let out = Dmra::default().solve(&inst).unwrap();
+        assert_eq!(out.iterations, 1);
+        assert!(out.acceptances.is_empty());
+        assert_eq!(out, Dmra::default().solve_reference(&inst).unwrap());
     }
 
     #[test]
@@ -1664,13 +1319,11 @@ mod tests {
         let inst = two_sp_instance();
         for rho in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let dmra = Dmra::new(DmraConfig::paper_defaults().with_rho(rho));
-            for mode in [SolveMode::Monolithic, SolveMode::Components] {
-                let err = dmra.with_solve_mode(mode).solve(&inst).unwrap_err();
-                assert!(
-                    matches!(err, Error::InvalidConfig(_)),
-                    "solve, rho {rho}: {err}"
-                );
-            }
+            let err = dmra.solve(&inst).unwrap_err();
+            assert!(
+                matches!(err, Error::InvalidConfig(_)),
+                "solve, rho {rho}: {err}"
+            );
             let err = dmra.solve_reference(&inst).unwrap_err();
             assert!(
                 matches!(err, Error::InvalidConfig(_)),
@@ -1772,10 +1425,7 @@ mod tests {
             CoverageModel::default(),
         )
         .unwrap();
-        let out = Dmra::default()
-            .with_solve_mode(SolveMode::Monolithic)
-            .solve(&inst)
-            .unwrap();
+        let out = Dmra::default().solve(&inst).unwrap();
         assert_eq!(out, Dmra::default().solve_reference(&inst).unwrap());
         for u in 0..2 {
             assert_eq!(

@@ -177,8 +177,8 @@ pub struct DynamicConfig {
     /// non-negative and at most `u32::MAX` (UE ids are 32-bit).
     pub arrival_rate: f64,
     /// Mean task duration in epochs. Must be finite and ≥ 1 — the same
-    /// contract [`crate::erlang::TrunkModel::predicted_blocking`] clamps
-    /// to, so analytics and simulation agree at the boundary.
+    /// contract [`crate::erlang::offered_erlangs`] clamps to, so analytics
+    /// and simulation agree at the boundary.
     pub mean_holding: f64,
     /// Shape of the holding-time distribution (the mean comes from
     /// [`mean_holding`](DynamicConfig::mean_holding)).
@@ -204,20 +204,48 @@ impl DynamicConfig {
     /// `arrival_rate` is negative, non-finite or above `u32::MAX`, or
     /// `mean_holding` is below one epoch or non-finite.
     pub fn validate(&self) -> Result<()> {
-        if !(0.0..=f64::from(u32::MAX)).contains(&self.arrival_rate) {
+        check_arrival_rate(self.arrival_rate)?;
+        if self.arrival_rate > f64::from(u32::MAX) {
             return Err(Error::InvalidConfig(format!(
-                "arrival_rate ({:?}) must be finite, non-negative and at most {}",
+                "arrival_rate ({:?}) must be at most {} (arrival UE ids are 32-bit)",
                 self.arrival_rate,
                 u32::MAX
             )));
         }
-        if !self.mean_holding.is_finite() || self.mean_holding < 1.0 {
-            return Err(Error::InvalidConfig(format!(
-                "mean_holding ({}) must be finite and at least 1 epoch",
-                self.mean_holding
-            )));
-        }
+        check_mean_holding(self.mean_holding)
+    }
+}
+
+/// Checks that `rate` is a usable mean arrival rate: finite and
+/// non-negative. [`DynamicConfig::validate`] and the Erlang-B planner
+/// share it; the simulator additionally bounds the rate by `u32::MAX`.
+///
+/// # Errors
+///
+/// Returns [`Error::InvalidConfig`] naming `arrival_rate` otherwise.
+pub fn check_arrival_rate(rate: f64) -> Result<()> {
+    if rate.is_finite() && rate >= 0.0 {
         Ok(())
+    } else {
+        Err(Error::InvalidConfig(format!(
+            "arrival_rate ({rate:?}) must be finite and non-negative"
+        )))
+    }
+}
+
+/// Checks that `mean` is a usable mean holding time: finite and at least
+/// one epoch, the contract [`crate::erlang::offered_erlangs`] clamps to.
+///
+/// # Errors
+///
+/// Returns [`Error::InvalidConfig`] naming `mean_holding` otherwise.
+pub fn check_mean_holding(mean: f64) -> Result<()> {
+    if mean.is_finite() && mean >= 1.0 {
+        Ok(())
+    } else {
+        Err(Error::InvalidConfig(format!(
+            "mean_holding ({mean}) must be finite and at least 1 epoch"
+        )))
     }
 }
 
@@ -680,7 +708,7 @@ impl DynamicSimulator {
             let admitted_before = state.outcome.admitted;
             let cloud_before = state.outcome.cloud_forwarded;
             let completed_before = state.outcome.completed;
-            let aux_before = aux_counters.as_ref().map_or((0, 0, 0), AuxCounters::read);
+            let aux_before = aux_counters.as_ref().map_or((0, 0), AuxCounters::read);
             state.release_departures(epoch);
             let n_new = poisson(cfg.arrival_rate, &mut rng);
             state.outcome.arrivals += n_new as u64;
@@ -1031,12 +1059,11 @@ pub(crate) fn elapsed_ns(started: Option<Instant>) -> u64 {
 }
 
 /// Handles to the global counters surfaced as per-epoch deltas in a
-/// flight record's aux section (row-cache traffic, component counts).
+/// flight record's aux section (row-cache traffic).
 /// Fetched once per run, and only when an observer is attached.
 pub(crate) struct AuxCounters {
     hits: Arc<dmra_obs::Counter>,
     misses: Arc<dmra_obs::Counter>,
-    components: Arc<dmra_obs::Counter>,
 }
 
 impl AuxCounters {
@@ -1045,13 +1072,12 @@ impl AuxCounters {
         Self {
             hits: g.counter("online.row_cache_hits"),
             misses: g.counter("online.row_cache_misses"),
-            components: g.counter("core.components"),
         }
     }
 
-    /// Current cumulative `(hits, misses, components)` readings.
-    pub(crate) fn read(&self) -> (u64, u64, u64) {
-        (self.hits.get(), self.misses.get(), self.components.get())
+    /// Current cumulative `(hits, misses)` readings.
+    pub(crate) fn read(&self) -> (u64, u64) {
+        (self.hits.get(), self.misses.get())
     }
 }
 
@@ -1084,22 +1110,21 @@ impl ProtoEpochAux {
 }
 
 /// Appends the standard aux fields shared by both simulators:
-/// wall/solve timing plus per-epoch row-cache and component-count
-/// deltas against the `before` reading.
+/// wall/solve timing plus per-epoch row-cache deltas against the
+/// `before` reading.
 pub(crate) fn push_common_aux(
     record: EpochRecord,
     wall_ns: u64,
     solve_ns: u64,
     counters: &AuxCounters,
-    before: (u64, u64, u64),
+    before: (u64, u64),
 ) -> EpochRecord {
-    let (hits, misses, components) = counters.read();
+    let (hits, misses) = counters.read();
     record
         .aux("wall_ns", wall_ns)
         .aux("solve_ns", solve_ns)
         .aux("row_cache_hits", hits - before.0)
         .aux("row_cache_misses", misses - before.1)
-        .aux("components", components - before.2)
 }
 
 /// λ above which [`poisson`] switches from exact inversion to the normal

@@ -46,32 +46,54 @@ pub fn erlang_b(servers: u32, offered_erlangs: f64) -> f64 {
     b
 }
 
+/// The largest server count [`servers_for_blocking`] tries.
+pub const MAX_SERVERS: u32 = 10_000_000;
+
 /// Inverse problem: the smallest server count keeping blocking at or
 /// below `target` for the given offered load.
+///
+/// Returns `None` when the load is non-finite, or when no count up to
+/// [`MAX_SERVERS`] meets the target. A load of zero or less needs no
+/// servers.
 ///
 /// # Panics
 ///
 /// Panics if `target` is not in `(0, 1]`.
 #[must_use]
-pub fn servers_for_blocking(offered_erlangs: f64, target: f64) -> u32 {
+pub fn servers_for_blocking(offered_erlangs: f64, target: f64) -> Option<u32> {
     assert!(
         target > 0.0 && target <= 1.0,
         "target blocking must be in (0, 1]"
     );
+    if !offered_erlangs.is_finite() {
+        return None;
+    }
+    if offered_erlangs <= 0.0 {
+        return Some(0);
+    }
+    let a = offered_erlangs;
     let mut c = 0u32;
     let mut b = 1.0;
-    let a = offered_erlangs.max(0.0);
-    if a == 0.0 {
-        return 0;
-    }
     while b > target {
+        if c == MAX_SERVERS {
+            return None;
+        }
         c += 1;
         b = a * b / (f64::from(c) + a * b);
-        if c > 10_000_000 {
-            break;
-        }
     }
-    c
+    Some(c)
+}
+
+/// The offered load, in erlang, of Poisson arrivals at `rate` per epoch
+/// holding for a mean of `mean_holding` epochs.
+///
+/// Clamps the holding mean to the simulator's validated `≥ 1 epoch`
+/// contract ([`crate::dynamic::check_mean_holding`]): every admitted task
+/// occupies its resources for at least one full epoch, so offered load can
+/// never fall below `rate` erlangs.
+#[must_use]
+pub fn offered_erlangs(rate: f64, mean_holding: f64) -> f64 {
+    rate * mean_holding.max(1.0)
 }
 
 /// Analytic description of a deployment as an Erlang loss system.
@@ -119,17 +141,11 @@ impl TrunkModel {
     }
 
     /// Predicted blocking for Poisson arrivals at `rate` per epoch and a
-    /// mean holding time of `mean_holding` epochs.
-    ///
-    /// Clamps the holding mean to the simulator's validated `≥ 1 epoch`
-    /// contract ([`crate::dynamic::DynamicConfig::validate`]): every
-    /// admitted task occupies its resources for at least one full epoch,
-    /// so offered load can never fall below `rate` erlangs. (The old
-    /// `max(0.0)` clamp let the prediction drop below what any simulation
-    /// could realize at the `mean_holding ≤ 1` boundary.)
+    /// mean holding time of `mean_holding` epochs, at the load
+    /// [`offered_erlangs`] computes.
     #[must_use]
     pub fn predicted_blocking(&self, rate: f64, mean_holding: f64) -> f64 {
-        erlang_b(self.servers, rate * mean_holding.max(1.0))
+        erlang_b(self.servers, offered_erlangs(rate, mean_holding))
     }
 }
 
@@ -159,13 +175,39 @@ mod tests {
     #[test]
     fn inverse_dimensioning_is_consistent() {
         for &(a, target) in &[(5.0, 0.02), (50.0, 0.01), (200.0, 0.05)] {
-            let c = servers_for_blocking(a, target);
+            let c = servers_for_blocking(a, target).unwrap();
             assert!(erlang_b(c, a) <= target);
             if c > 0 {
                 assert!(erlang_b(c - 1, a) > target);
             }
         }
-        assert_eq!(servers_for_blocking(0.0, 0.01), 0);
+        assert_eq!(servers_for_blocking(0.0, 0.01), Some(0));
+        assert_eq!(servers_for_blocking(-25.0, 0.01), Some(0));
+        assert_eq!(servers_for_blocking(3.0, 1.0), Some(0));
+    }
+
+    #[test]
+    fn dimensioning_reports_loads_it_cannot_meet() {
+        for a in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(servers_for_blocking(a, 0.02), None, "load {a}");
+        }
+        assert_eq!(servers_for_blocking(5e300, 0.02), None);
+        let c = servers_for_blocking(5e4, 0.02).unwrap();
+        assert!(c <= MAX_SERVERS && erlang_b(c, 5e4) <= 0.02);
+    }
+
+    #[test]
+    fn offered_load_clamps_holding_like_the_prediction() {
+        assert_eq!(offered_erlangs(100.0, 5.0), 500.0);
+        assert_eq!(offered_erlangs(100.0, 0.0), 100.0);
+        let model = TrunkModel {
+            servers: 50,
+            mean_rrbs_per_task: 1.0,
+        };
+        assert_eq!(
+            model.predicted_blocking(100.0, 0.0),
+            erlang_b(50, offered_erlangs(100.0, 0.0))
+        );
     }
 
     #[test]

@@ -347,7 +347,7 @@ impl MobilitySimulator {
         let aux_counters = observer.as_ref().map(|_| AuxCounters::fetch());
         for epoch in 0..cfg.epochs {
             let epoch_started = observer.as_ref().map(|_| Instant::now());
-            let aux_before = aux_counters.as_ref().map_or((0, 0, 0), AuxCounters::read);
+            let aux_before = aux_counters.as_ref().map_or((0, 0), AuxCounters::read);
             let mob_before = (outcome.handovers, outcome.drops, outcome.recoveries);
             let instance = rows.epoch_instance(&mut full_cru, &mut full_rrb, ues.clone())?;
             // The timed slice covers the allocator solve including the

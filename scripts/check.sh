@@ -77,9 +77,9 @@ grep -q '"oracle_profit_gap":' "$proto_record" || { echo "proto epochs carry no 
 echo "proto-engine smoke OK ($(wc -l <"$proto_record") records)"
 
 # Engine digest smoke: every seam of each simulator's one epoch loop —
-# scratch rows, sharded rows, the fault-free protocol matcher and the
-# component solve path — must leave an epoch digest trail bit-identical to the
-# incremental engine's, driven from the CLI. Only the per-epoch streams
+# scratch rows, sharded rows and the fault-free protocol matcher — must
+# leave an epoch digest trail bit-identical to the incremental engine's,
+# driven from the CLI. Only the per-epoch streams
 # are compared (the proto engine also records per-round lines), and their
 # nondeterministic "aux" halves (wall-clock timings, shard loads) are
 # stripped first.
@@ -87,10 +87,10 @@ det() { grep '"stream": "\(sim\|mobility\)\.epoch"' "$1" | sed 's/, "aux": {.*}}
 for cmd in dynamic mobility; do
     if [[ "$cmd" == dynamic ]]; then
         base_args=(dynamic --rate 40 --epochs 200)
-        variants=("--engine scratch" "--engine proto" "--shards 2" "--solve components")
+        variants=("--engine scratch" "--engine proto" "--shards 2")
     else
         base_args=(mobility --ues 200 --speed 12 --stationary 0.5 --policy sticky --epochs 40)
-        variants=("--engine scratch" "--shards 2" "--solve components")
+        variants=("--engine scratch" "--shards 2")
     fi
     ./target/debug/dmra "${base_args[@]}" --record "$det_base" >/dev/null
     epochs="$(det "$det_base" | wc -l)"
@@ -103,3 +103,11 @@ for cmd in dynamic mobility; do
     done
     echo "$cmd digest smoke OK (${variants[*]}: $epochs epoch digests identical)"
 done
+
+# The component-decomposed solve and its `--solve` flag were removed; the
+# flag must stay an error rather than come back as a silent no-op.
+if solve_err="$(./target/debug/dmra run --ues 20 --solve components 2>&1)"; then
+    echo "dmra run --solve components exited 0" >&2; exit 1
+fi
+grep -q -- '--solve' <<<"$solve_err" || { echo "the --solve error does not name the flag: $solve_err" >&2; exit 1; }
+echo "removed --solve flag is rejected"

@@ -5,16 +5,11 @@
 //! one epoch to the next and apply only that epoch's delta (arrivals,
 //! departures, moves); the scratch loops rebuild every epoch from
 //! nothing. On the island grid each epoch's instance splits into up to
-//! nine components, so these tests run with the process-global solve
-//! mode pinned to `Components` (same value in every test, so parallel
-//! test threads never race it to different modes), and the scratch side
-//! overrides its own allocator to `Monolithic` where a DMRA reference is
-//! wanted.
+//! nine disjoint candidate-graph components plus a large cloud-only set,
+//! a shape the paper's dense default grid never produces.
 
 mod common;
 
-use dmra::prelude::*;
-use dmra_core::set_solve_mode_default;
 use dmra_sim::dynamic::{DynamicConfig, DynamicSimulator, HoldingDistribution, ProtoFaults};
 use dmra_sim::mobility::{MobilityConfig, MobilityPolicy, MobilitySimulator};
 
@@ -23,7 +18,6 @@ use dmra_sim::mobility::{MobilityConfig, MobilityPolicy, MobilitySimulator};
 /// scratch specification — for both policies.
 #[test]
 fn sharded_mobility_under_delta_matches_unsharded_and_scratch() {
-    set_solve_mode_default(SolveMode::Components);
     for policy in [MobilityPolicy::FullReallocation, MobilityPolicy::Sticky] {
         let cfg = MobilityConfig {
             scenario: common::islands(11, 120),
@@ -57,11 +51,9 @@ fn sharded_mobility_under_delta_matches_unsharded_and_scratch() {
 }
 
 /// Every dynamic engine — incremental, region-sharded and the fault-free
-/// message-passing protocol — matches the scratch loop with a monolithic
-/// reference allocator.
+/// message-passing protocol — matches the scratch loop.
 #[test]
 fn dynamic_engines_are_bit_identical_under_delta() {
-    set_solve_mode_default(SolveMode::Components);
     for &(rate, seed) in &[(12.0, 3u64), (60.0, 8)] {
         let cfg = DynamicConfig {
             scenario: common::islands(seed, 0),
@@ -71,26 +63,21 @@ fn dynamic_engines_are_bit_identical_under_delta() {
             epochs: 15,
             seed,
         };
-        let mono = DynamicSimulator::with_allocator(
-            cfg.clone(),
-            Box::new(Dmra::default().with_solve_mode(SolveMode::Monolithic)),
-        )
-        .run_scratch()
-        .unwrap();
         let sim = DynamicSimulator::new(cfg);
+        let scratch = sim.run_scratch().unwrap();
         assert_eq!(
             sim.run().unwrap(),
-            mono,
+            scratch,
             "incremental diverged (rate {rate})"
         );
         assert_eq!(
             sim.run_sharded_n(4).unwrap(),
-            mono,
+            scratch,
             "sharded diverged (rate {rate})"
         );
         assert_eq!(
             sim.run_proto(&ProtoFaults::default()).unwrap(),
-            mono,
+            scratch,
             "fault-free proto diverged (rate {rate})"
         );
     }

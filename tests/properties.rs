@@ -151,8 +151,8 @@ proptest! {
         shape in arb_shape(),
     ) {
         // Full-outcome equality (allocation, iterations, proposals,
-        // trajectories, prunes, evictions) between the dense matcher, in
-        // both solve modes, and the line-by-line transcription.
+        // trajectories, prunes, evictions) between the dense matcher and
+        // the line-by-line transcription.
         let instance = reshape(&cfg.build().unwrap(), shape);
         for rho in [0.0, 100.0, 1000.0] {
             for same_sp_preference in [false, true] {
@@ -162,18 +162,15 @@ proptest! {
                     ..DmraConfig::paper_defaults()
                 };
                 let reference = Dmra::new(config).solve_reference(&instance).unwrap();
-                for mode in [SolveMode::Monolithic, SolveMode::Components] {
-                    let fast = Dmra::new(config).with_solve_mode(mode).solve(&instance).unwrap();
-                    prop_assert_eq!(
-                        &fast,
-                        &reference,
-                        "{:?} rho={} same_sp={} {:?}",
-                        shape,
-                        rho,
-                        same_sp_preference,
-                        mode
-                    );
-                }
+                let fast = Dmra::new(config).solve(&instance).unwrap();
+                prop_assert_eq!(
+                    &fast,
+                    &reference,
+                    "{:?} rho={} same_sp={}",
+                    shape,
+                    rho,
+                    same_sp_preference
+                );
             }
         }
     }
